@@ -220,9 +220,13 @@ class SortAheadShifter:
         # iterated or persisted, so the address is safe here.
         self._region_id = id(region)  # repro: allow[det-id-key]
 
-    def shift(self, region: LocalRegion, target: Cell, insertion: InsertionPoint) -> ShiftOutcome:
-        """Run single-pass SACS for one insertion point."""
+    def context_for(self, region: LocalRegion) -> SACSContext:
+        """The pre-sorted context of ``region`` (prepared on first use)."""
         if self._context is None or self._region_id != id(region):  # repro: allow[det-id-key]
             self.prepare(region)
         assert self._context is not None
-        return self._resolve().shift_sacs(region, target, insertion, self._context)
+        return self._context
+
+    def shift(self, region: LocalRegion, target: Cell, insertion: InsertionPoint) -> ShiftOutcome:
+        """Run single-pass SACS for one insertion point."""
+        return self._resolve().shift_sacs(region, target, insertion, self.context_for(region))

@@ -150,6 +150,22 @@ class KernelBackend(ABC):
         """
         return [self.evaluate(curves, xs) for curves, xs in zip(curve_sets, queries)]
 
+    def score_points(
+        self,
+        region: "LocalRegion",
+        target: "Cell",
+        points: Sequence["InsertionPoint"],
+        config: Any,
+    ) -> Optional[List[Tuple[Any, ...]]]:
+        """Score a region's whole insertion-point list in one fused step.
+
+        Returns the entries :func:`repro.mgl.fop.evaluate_point_list`
+        would (with ``None`` outcomes), or ``None`` when this backend has
+        no fused path for ``config``; FOP then runs the staged kernels
+        above.  The default has none.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # SACS kernels
     # ------------------------------------------------------------------

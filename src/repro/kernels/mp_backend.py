@@ -552,6 +552,9 @@ class MultiprocessKernelBackend(KernelBackend):
     def evaluate_batch(self, curve_sets, queries):
         return self.inner.evaluate_batch(curve_sets, queries)
 
+    def score_points(self, region, target, points, config):
+        return self.inner.score_points(region, target, points, config)
+
     def build_sacs_context(self, region):
         return self.inner.build_sacs_context(region)
 

@@ -38,6 +38,12 @@ routed to the reference.
   processing order (the heap pops the pre-sorted SACS ranks, so the
   epsilon-guarded max/min updates and the dict insertion order match
   the reference's full sweep bit for bit).
+
+**Fused native scoring.**  For SACS configurations FOP first offers the
+whole insertion-point list to :meth:`NumpyKernelBackend.score_points`,
+which scores it in one call into the C kernel of
+:mod:`repro.kernels.native`; the staged kernels above then serve the
+original shifter, single-point callers and hosts without a C compiler.
 """
 
 from __future__ import annotations
@@ -150,6 +156,29 @@ class NumpyKernelBackend(KernelBackend):
                 "the 'numpy' kernel backend requires numpy; install it or "
                 "select backend='python'"
             )
+        from repro.kernels.native import NativeFOP  # imports numpy unconditionally
+
+        #: The fused C kernel scoring whole SACS regions (built lazily).
+        self.native = NativeFOP()
+
+    # ------------------------------------------------------------------
+    # Fused region scoring
+    # ------------------------------------------------------------------
+    def score_points(self, region, target, points, config):
+        """Score a SACS region's insertion points in one native call.
+
+        Returns ``None`` (FOP then runs the staged array pipeline below)
+        for other shifters, an empty point list, or a host on which the
+        kernel cannot be built; see :mod:`repro.kernels.native`.
+        """
+        from repro.core.sacs import SortAheadShifter  # repro.core imports this module
+
+        shifter = config.shifter
+        if not points or not isinstance(shifter, SortAheadShifter):
+            return None
+        return self.native.score_points(
+            region, target, points, shifter.context_for(region), config
+        )
 
     # ------------------------------------------------------------------
     # Displacement-curve construction
@@ -597,9 +626,11 @@ class NumpyKernelBackend(KernelBackend):
     # SACS shifting chains
     # ------------------------------------------------------------------
     def build_sacs_context(self, region):
+        # The lookup tables are attached on the first shift_sacs call: the
+        # fused path reads only the reference fields of the context.
         from repro.core.sacs import build_sacs_context
 
-        return self._augment_context(build_sacs_context(region), region)
+        return build_sacs_context(region)
 
     def _augment_context(self, ctx, region):
         """Attach the backend's lookup tables to a (reference) context.
@@ -652,6 +683,12 @@ class NumpyKernelBackend(KernelBackend):
     def shift_sacs(self, region, target, insertion, context) -> ShiftOutcome:
         ctx = context
         if not hasattr(ctx, "np_row_pure"):
+            if hasattr(ctx, "native_arrays"):
+                # FOP re-deriving the winner of a fused scoring: one
+                # reference shift costs less than building the tables.
+                from repro.core.sacs import shift_cells_sacs
+
+                return shift_cells_sacs(region, target, insertion, ctx)
             ctx = self._augment_context(ctx, region)
 
         outcome = ShiftOutcome()

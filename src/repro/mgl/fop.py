@@ -276,8 +276,9 @@ def find_optimal_position(
             result.insertion = insertion
             result.outcome = outcome
     if result.feasible and result.outcome is None:
-        # Parallel path: re-derive the winning point's shift outcome (the
-        # shifting chains are pure functions of the region state).
+        # Parallel and fused paths: re-derive the winning point's shift
+        # outcome (the shifting chains are pure functions of the region
+        # state).
         result.outcome = config.shifter.shift(region, target, result.insertion)
     return result
 
@@ -294,9 +295,14 @@ def evaluate_point_list(
     Returns one ``(insertion, best_x, best_cost, outcome, work)`` entry
     per point, in input order (``best_x`` is ``None`` for infeasible
     points).  This is the unit the multiprocess backend chunks across
-    workers; the caller owns the reduction.
+    workers; the caller owns the reduction.  Backends with a fused path
+    (:meth:`~repro.kernels.base.KernelBackend.score_points`) score the
+    whole list in one step and leave the outcomes ``None``.
     """
     backend = backend or resolve_backend(config.backend)
+    fused = backend.score_points(region, target, points, config)
+    if fused is not None:
+        return fused
 
     # Stage 1 — cell shifting for every candidate insertion point, in
     # enumeration order (the shifter's once-per-region counters and the
