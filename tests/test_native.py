@@ -151,6 +151,45 @@ def test_native_matches_reference_on_synthetic_regions(data, fwd_bwd):
     assert_matches_reference(region, target, fwd_bwd)
 
 
+def _packed_region(cells, target, n_rows=2, seg=(0.0, 40.0)):
+    """A region from ``(x, width, height, bottom, gp_x)`` cell tuples."""
+    region = LocalRegion(window=Window(seg[0], seg[1], 0, n_rows), target=target)
+    for row in range(n_rows):
+        region.add_segment(LocalSegment(row, Interval(*seg)))
+    for index, (x, width, height, bottom, gp_x) in enumerate(cells, start=1):
+        region.add_local_cell(Cell(
+            index=index, width=width, height=height, gp_x=gp_x, gp_y=float(bottom),
+            x=x, y=float(bottom), legalized=True,
+        ))
+    region.finalize()
+    return region
+
+
+@needs_native
+@pytest.mark.parametrize("fwd_bwd", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_native_keeps_the_epsilon_guard_on_repeated_pushes(side, fwd_bwd):
+    """A two-row cell pushed through both rows by candidates 5e-10 apart.
+
+    The second push exceeds the first by less than the epsilon, so the
+    reference keeps the first threshold; that difference reaches the
+    cost of the points that move the two-row cell.
+    """
+    tiny = 5e-10
+    if side == "left":
+        # N (rows 0-1) is pushed left by A (row 0, processed first) and by
+        # B (row 1), whose wider body makes its candidate larger by `tiny`.
+        cells = [(5.0, 3.0, 2, 0, 6.0), (8.001, 4.0, 1, 0, 8.0), (8.0, 4.0 + tiny, 1, 1, 8.0)]
+        target = Cell(index=0, width=2.0, height=2, gp_x=5.0, gp_y=0.0)
+    else:
+        # The mirror image: N is pushed right through both rows.
+        cells = [(30.0, 3.0, 2, 0, 29.0), (25.999, 4.0, 1, 0, 26.0),
+                 (26.0 - tiny, 4.0 + tiny, 1, 1, 26.0)]
+        target = Cell(index=0, width=2.0, height=2, gp_x=35.0, gp_y=0.0)
+    region = _packed_region(cells, target)
+    assert assert_matches_reference(region, target, fwd_bwd) > 0
+
+
 @needs_native
 @pytest.mark.parametrize("case", sorted(REGION_CASES))
 def test_fop_winner_outcome_matches_reference(case):
