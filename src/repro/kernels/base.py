@@ -71,7 +71,8 @@ class KernelBackend(ABC):
     #: one localRegion (the paper's FOP-PE axis).  Such backends
     #: additionally implement ``should_parallelize_fop(region, points)``
     #: and ``evaluate_points_parallel(region, target, points, config)``;
-    #: :func:`repro.mgl.fop.find_optimal_position` calls them per region.
+    #: :func:`repro.mgl.fop.find_optimal_position` calls them per region
+    #: that :meth:`score_points` does not score.
     supports_point_parallel: bool = False
 
     # ------------------------------------------------------------------

@@ -224,7 +224,6 @@ def _evaluate_points(payload):
     work_tuple)`` triple per point.  Stateless: the region travels with
     the task, so any pool worker can serve any region of any run.
     """
-    from repro.core.sacs import SortAheadShifter
     from repro.kernels import get_kernel_backend
     from repro.mgl.fop import FOPConfig, evaluate_point_list
     from repro.mgl.shifting import OriginalShifter
@@ -232,9 +231,7 @@ def _evaluate_points(payload):
     blob, points = payload
     region, target, params = pickle.loads(blob)
     backend = get_kernel_backend(params["inner"])
-    shifter = (
-        SortAheadShifter(backend=backend) if params["sacs"] else OriginalShifter()
-    )
+    shifter = OriginalShifter()
     config = FOPConfig(
         shifter=shifter,
         use_fwd_bwd_pipeline=params["fwd_bwd"],
@@ -698,27 +695,26 @@ class MultiprocessKernelBackend(KernelBackend):
     def evaluate_points_parallel(self, region, target, points, config):
         """Chunk one region's candidate loop across the worker pool.
 
-        The parent evaluates one chunk itself (no idle coordinator, and
-        the chunk holding the region's first point keeps the parent
-        shifter's once-per-region sort report); workers run the exact
+        The parent evaluates one chunk itself (no idle coordinator);
+        workers run the exact
         sequential FOP stages on theirs, against a region blob that is
         pickled once and broadcast.  Chunks are dealt round-robin so
         systematically expensive stretches of the enumeration spread
         across workers, and the reassembled results are index-aligned
         with ``points`` — work records match the sequential
         single-context run bit for bit.  Shift outcomes of worker points
-        are not shipped back (the caller re-derives the winner's);
-        unknown shifter types fall back to the sequential path.
+        are not shipped back (the caller re-derives the winner's).
+
+        Only the original shifter's staged pipeline is farmed out.  SACS
+        regions go to the fused native kernel, which scores a region in
+        less time than shipping it to a worker; on a host without the
+        kernel they run the reference shifter sequentially, like every
+        other shifter type.
         """
-        from repro.core.sacs import SortAheadShifter
         from repro.mgl.fop import evaluate_point_list
         from repro.mgl.shifting import OriginalShifter
 
-        if isinstance(config.shifter, SortAheadShifter):
-            sacs = True
-        elif isinstance(config.shifter, OriginalShifter):
-            sacs = False
-        else:
+        if not isinstance(config.shifter, OriginalShifter):
             return evaluate_point_list(region, target, points, config, self)
         state = self._ensure_pool()
         pool = state.workers
@@ -745,7 +741,6 @@ class MultiprocessKernelBackend(KernelBackend):
             shares.append(remaining[w::n_workers_used])
         params = {
             "inner": self.inner.name,
-            "sacs": sacs,
             "fwd_bwd": config.use_fwd_bwd_pipeline,
             "vcf": config.vertical_cost_factor,
         }
@@ -785,11 +780,6 @@ class MultiprocessKernelBackend(KernelBackend):
                         (p for g in share for p in groups[g]), part
                     )
                 ]
-                if decoded:
-                    # Each worker built a fresh SACS context, so each chunk's
-                    # first point carries a sort report; sequentially only the
-                    # region's very first point (in the parent's chunk) does.
-                    decoded[0][4].sort_size = 0
                 place(share, decoded)
         except _WorkerTaskError as exc:
             self.close()

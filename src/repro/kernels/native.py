@@ -16,11 +16,11 @@ backend's worker chunks.
 The shared library is compiled on first use with ``$CC`` (default
 ``cc``), ``-O2 -ffp-contract=off`` and no fast-math (contraction into
 fused multiply-adds or reassociation would change results), and cached
-in ``_native_build/`` next to this file, or in a temporary directory when
-that one is read-only, under a name keyed by the source, compiler and
-flags, so a checkout compiles once.  Without a working compiler
-:meth:`NativeFOP.load` warns once and returns ``None``, and the numpy
-backend keeps its array pipeline.
+in ``_native_build/`` next to this file under a name keyed by the
+source, compiler and flags, so a checkout compiles once.  Nothing is
+loaded from anywhere else: without a working compiler, or when that
+directory cannot be written, :meth:`NativeFOP.load` warns once and
+returns ``None``, and SACS scoring runs the Python reference shifter.
 
 ``python -m repro.kernels.native`` builds the library and reports where
 it was loaded from (exit status 1 when it cannot be built).
@@ -36,11 +36,10 @@ import platform
 import shlex
 import subprocess
 import sys
-import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -175,24 +174,15 @@ def _pack(dtype, fields):
 class NativeFOP:
     """Builds, loads and calls the fused kernel.
 
-    ``cache_dir`` and ``compiler`` override where the library is cached
-    and which compiler builds it (defaults: see the module docstring).
+    ``cache_dir`` overrides where the library is cached (default:
+    ``_native_build/`` next to this file); ``$CC`` picks the compiler.
     """
 
-    def __init__(
-        self, cache_dir: Optional[Path] = None, compiler: Optional[Sequence[str]] = None
-    ) -> None:
-        self._cache_dir = cache_dir
-        self.compiler = (
-            list(compiler) if compiler is not None else shlex.split(os.environ.get("CC", "cc"))
+    def __init__(self, cache_dir: Optional[Path] = None) -> None:
+        self.compiler = shlex.split(os.environ.get("CC", "cc"))
+        self.cache_dir = (
+            Path(cache_dir) if cache_dir is not None else Path(__file__).with_name("_native_build")
         )
-        if cache_dir is not None:
-            self.cache_dirs = [Path(cache_dir)]
-        else:
-            self.cache_dirs = [
-                Path(__file__).with_name("_native_build"),
-                Path(tempfile.gettempdir()) / "repro-native",
-            ]
         #: Where the library was loaded from, or why it is unavailable.
         self.path: Optional[Path] = None
         self.error: Optional[str] = None
@@ -203,7 +193,7 @@ class NativeFOP:
     def __reduce__(self):
         # The library handle and the lock do not survive pickling; the
         # copy loads the cached library again on first use.
-        return (NativeFOP, (self._cache_dir, self.compiler))
+        return (NativeFOP, (self.cache_dir,))
 
     # ------------------------------------------------------------------
     def library_name(self) -> str:
@@ -221,28 +211,23 @@ class NativeFOP:
             return self._lib
 
     def _load_or_build(self) -> Optional[ctypes.CDLL]:
-        name = self.library_name()
-        errors: List[str] = []
-        for directory in self.cache_dirs:
-            path = directory / name
-            try:
-                if not path.exists():
-                    self._build(path)
-                lib = ctypes.CDLL(str(path))
-            except (OSError, subprocess.SubprocessError) as exc:
-                errors.append(f"{directory}: {exc}")
-                continue
-            lib.fop_score_region.argtypes = [ctypes.POINTER(_Region)]
-            lib.fop_score_region.restype = ctypes.c_int
-            self.path = path
-            return lib
-        self.error = "; ".join(errors)
-        warnings.warn(
-            f"native FOP kernel unavailable, using the numpy path: {self.error}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return None
+        path = self.cache_dir / self.library_name()
+        try:
+            if not path.exists():
+                self._build(path)
+            lib = ctypes.CDLL(str(path))
+        except (OSError, subprocess.SubprocessError) as exc:
+            self.error = f"{self.cache_dir}: {exc}"
+            warnings.warn(
+                f"native FOP kernel unavailable, using the reference SACS shifter: {self.error}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            return None
+        lib.fop_score_region.argtypes = [ctypes.POINTER(_Region)]
+        lib.fop_score_region.restype = ctypes.c_int
+        self.path = path
+        return lib
 
     def _build(self, path: Path) -> None:
         """Compile into a private temporary name, then rename into place, so

@@ -2,7 +2,8 @@
 
 Fast implementations of the FOP hot paths: displacement-curve
 construction, the five-stage / fwd-bwd curve-minimization pipeline,
-batch curve evaluation (snapping), and the SACS shifting chains.
+batch curve evaluation (snapping), and fused native scoring of SACS
+regions.
 
 **Bit-for-bit equivalence.**  The backend must reproduce the pure-Python
 reference exactly, so every vectorized reduction is expressed with NumPy
@@ -26,29 +27,16 @@ near-duplicate breakpoints (``0 < dx <= eps``, where the reference's
 group-start merging and a diff-based grouping could disagree) are also
 routed to the reference.
 
-**SACS.**  Sort-ahead shifting is accelerated two ways, both exact:
-
-* insertion points whose spanned rows contain only single-height cells
-  have independent per-row push chains; each chain is one
-  ``accumulate`` recurrence over the inter-cell gaps;
-* general (multi-row-coupled) points use a sparse rank-heap propagation
-  that visits only the cells that actually receive a push threshold —
-  O(chain length) instead of the reference's O(region cells) sweep —
-  while replaying threshold updates in exactly the reference's
-  processing order (the heap pops the pre-sorted SACS ranks, so the
-  epsilon-guarded max/min updates and the dict insertion order match
-  the reference's full sweep bit for bit).
-
-**Fused native scoring.**  For SACS configurations FOP first offers the
-whole insertion-point list to :meth:`NumpyKernelBackend.score_points`,
-which scores it in one call into the C kernel of
-:mod:`repro.kernels.native`; the staged kernels above then serve the
-original shifter, single-point callers and hosts without a C compiler.
+**Fused native scoring (SACS).**  For SACS configurations FOP first
+offers the whole insertion-point list to
+:meth:`NumpyKernelBackend.score_points`, which scores it in one call
+into the C kernel of :mod:`repro.kernels.native`.  The staged curve
+kernels above serve the original shifter; a host that cannot build the
+kernel shifts SACS points with the Python reference.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -167,9 +155,9 @@ class NumpyKernelBackend(KernelBackend):
     def score_points(self, region, target, points, config):
         """Score a SACS region's insertion points in one native call.
 
-        Returns ``None`` (FOP then runs the staged array pipeline below)
-        for other shifters, an empty point list, or a host on which the
-        kernel cannot be built; see :mod:`repro.kernels.native`.
+        Returns ``None`` (FOP then runs the staged pipeline) for other
+        shifters, an empty point list, or a host on which the kernel
+        cannot be built; see :mod:`repro.kernels.native`.
         """
         from repro.core.sacs import SortAheadShifter  # repro.core imports this module
 
@@ -625,273 +613,15 @@ class NumpyKernelBackend(KernelBackend):
     # ------------------------------------------------------------------
     # SACS shifting chains
     # ------------------------------------------------------------------
+    # Whole SACS regions go to the native kernel (score_points above).
+    # Single shifts (FOP re-deriving the winner's outcome, and every shift
+    # on a host where the kernel cannot be built) run the reference.
     def build_sacs_context(self, region):
-        # The lookup tables are attached on the first shift_sacs call: the
-        # fused path reads only the reference fields of the context.
         from repro.core.sacs import build_sacs_context
 
         return build_sacs_context(region)
 
-    def _augment_context(self, ctx, region):
-        """Attach the backend's lookup tables to a (reference) context.
-
-        Mutates ``ctx`` in place so that a caller-owned reference context
-        keeps its identity and state (notably ``consumed_sort_report``,
-        which controls the once-per-region sort work report).
-        """
-        cells = region.local_cells
-        n = len(cells)
-        # Per-row coordinate arrays feeding the accumulate chain path.
-        row_x: Dict[int, Any] = {}
-        row_right: Dict[int, Any] = {}
-        row_pure: Dict[int, bool] = {}
-        for row, indices in ctx.row_indices.items():
-            k = len(indices)
-            row_x[row] = np.fromiter((cells[i].x for i in indices), np.float64, count=k)
-            row_right[row] = np.fromiter(
-                (cells[i].right for i in indices), np.float64, count=k
-            )
-            row_pure[row] = all(cells[i].height == 1 for i in indices)
-        # Plain-list snapshots feeding the sparse heap path (scalar access
-        # into numpy arrays is slower than list indexing).
-        ctx.np_cell_x = [lc.x for lc in cells]
-        ctx.np_cell_right = [lc.right for lc in cells]
-        ctx.np_cell_rows = [lc.rows for lc in cells]
-        # Tightest segment bounds over each cell's rows, precomputed once
-        # per region instead of once per insertion point in finalize.
-        segments = region.segments
-        ctx.np_cell_seg_lo = [
-            max(segments[row].x_lo for row in lc.rows) for lc in cells
-        ]
-        ctx.np_cell_seg_hi = [
-            min(segments[row].x_hi for row in lc.rows) for lc in cells
-        ]
-        ctx.np_seg_lo = {row: seg.x_lo for row, seg in segments.items()}
-        ctx.np_seg_hi = {row: seg.x_hi for row, seg in segments.items()}
-        # Processing ranks reproduce the reference update order.
-        rank_desc = np.empty(n, dtype=np.intp)
-        rank_desc[np.asarray(ctx.order_desc, dtype=np.intp)] = np.arange(n)
-        rank_asc = np.empty(n, dtype=np.intp)
-        rank_asc[np.asarray(ctx.order_asc, dtype=np.intp)] = np.arange(n)
-        ctx.np_row_x = row_x
-        ctx.np_row_right = row_right
-        ctx.np_row_pure = row_pure
-        ctx.np_rank_desc = rank_desc.tolist()
-        ctx.np_rank_asc = rank_asc.tolist()
-        return ctx
-
     def shift_sacs(self, region, target, insertion, context) -> ShiftOutcome:
-        ctx = context
-        if not hasattr(ctx, "np_row_pure"):
-            if hasattr(ctx, "native_arrays"):
-                # FOP re-deriving the winner of a fused scoring: one
-                # reference shift costs less than building the tables.
-                from repro.core.sacs import shift_cells_sacs
+        from repro.core.sacs import shift_cells_sacs
 
-                return shift_cells_sacs(region, target, insertion, ctx)
-            ctx = self._augment_context(ctx, region)
-
-        outcome = ShiftOutcome()
-        outcome.passes = 2
-        if not ctx.consumed_sort_report:
-            outcome.sorted_cells = ctx.sort_size
-            ctx.consumed_sort_report = True
-        split = insertion.split_map()
-        outcome.cell_visits = 2 * ctx.sort_size
-        outcome.multirow_accesses = 2 * ctx.multirow_cells
-        outcome.tall_accesses = 2 * ctx.tall_cells
-
-        if all(ctx.np_row_pure.get(row, True) for row in insertion.rows):
-            left, right = self._shift_pure_chains(ctx, insertion, split)
-        else:
-            left = self._propagate_sparse(ctx, insertion, split, leftward=True)
-            right = self._propagate_sparse(ctx, insertion, split, leftward=False)
-        return self._finalize_fast(ctx, outcome, target, insertion, split, left, right)
-
-    # ------------------------------------------------------------------
-    def _finalize_fast(self, ctx, outcome, target, insertion, split, left, right):
-        """Reference ``_finalize_outcome`` with per-region cached bounds.
-
-        Identical logic and float-operation order; the only change is
-        that the per-cell tightest segment bounds come from the context
-        cache instead of being recomputed per insertion point (``max`` /
-        ``min`` folds are exact, so caching cannot alter any bit).
-        """
-        outcome.left_thresholds = left
-        outcome.right_thresholds = right
-        if left and right and set(left) & set(right):
-            outcome.feasible = False
-            return outcome
-        row_indices = ctx.row_indices
-        for row in insertion.rows:
-            indices = row_indices.get(row, [])
-            k = split[row]
-            if any(idx in left for idx in indices[k:]) or any(
-                idx in right for idx in indices[:k]
-            ):
-                outcome.feasible = False
-                return outcome
-        lo = max(ctx.np_seg_lo[row] for row in insertion.rows)
-        hi = min(ctx.np_seg_hi[row] for row in insertion.rows) - target.width
-        cell_x = ctx.np_cell_x
-        cell_right = ctx.np_cell_right
-        seg_lo = ctx.np_cell_seg_lo
-        seg_hi = ctx.np_cell_seg_hi
-        for idx, b in left.items():
-            lo = max(lo, b - (cell_x[idx] - seg_lo[idx]))
-        for idx, r in right.items():
-            hi = min(hi, r + (seg_hi[idx] - cell_right[idx]) - target.width)
-        outcome.xt_lo, outcome.xt_hi = lo, hi
-        outcome.feasible = hi >= lo - _EPS and math.ceil(lo - _EPS) <= math.floor(hi + _EPS)
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _shift_pure_chains(self, ctx, insertion, split):
-        """Independent per-row chains (only single-height cells spanned).
-
-        With no multi-row cell in the spanned rows, constraints never
-        leave their row, so each side's thresholds are one running-gap
-        recurrence evaluated by ``subtract``/``add`` ``accumulate`` —
-        exactly the reference's ``b - (x[j+1] - right[j])`` /
-        ``r + (x[j] - right[j-1])`` steps.  Entries enter the threshold
-        dicts seeds-first, then in the pushing cell's processing-rank
-        order, reproducing the reference dict ordering (which downstream
-        curve construction depends on for stable-sort ties).
-        """
-        left: Dict[int, float] = {}
-        chained: List[Tuple[int, int, float]] = []
-        for row in insertion.rows:
-            indices = ctx.row_indices.get(row, [])
-            k = split[row]
-            if k <= 0:
-                continue
-            x = ctx.np_row_x[row]
-            right_edge = ctx.np_row_right[row]
-            left[indices[k - 1]] = float(right_edge[k - 1])
-            if k >= 2:
-                seq = np.empty(k, dtype=np.float64)
-                seq[0] = right_edge[k - 1]
-                seq[1:] = (x[1:k] - right_edge[: k - 1])[::-1]
-                thresholds = np.subtract.accumulate(seq)
-                rank = ctx.np_rank_desc
-                pusher_ranks = [rank[i] for i in indices[k - 1 : 0 : -1]]
-                chained.extend(
-                    zip(pusher_ranks, indices[k - 2 :: -1], thresholds[1:].tolist())
-                )
-        chained.sort(key=lambda entry: entry[0])
-        for _, idx, value in chained:
-            left[idx] = value
-
-        right: Dict[int, float] = {}
-        chained = []
-        for row in insertion.rows:
-            indices = ctx.row_indices.get(row, [])
-            k = split[row]
-            n_row = len(indices)
-            if k >= n_row:
-                continue
-            x = ctx.np_row_x[row]
-            right_edge = ctx.np_row_right[row]
-            right[indices[k]] = float(x[k])
-            if k < n_row - 1:
-                seq = np.empty(n_row - k, dtype=np.float64)
-                seq[0] = x[k]
-                seq[1:] = x[k + 1 :] - right_edge[k : n_row - 1]
-                thresholds = np.add.accumulate(seq)
-                rank = ctx.np_rank_asc
-                pusher_ranks = [rank[i] for i in indices[k : n_row - 1]]
-                chained.extend(
-                    zip(pusher_ranks, indices[k + 1 :], thresholds[1:].tolist())
-                )
-        chained.sort(key=lambda entry: entry[0])
-        for _, idx, value in chained:
-            right[idx] = value
-        return left, right
-
-    def _propagate_sparse(self, ctx, insertion, split, *, leftward: bool):
-        """General SACS propagation visiting only threshold-carrying cells.
-
-        The reference sweeps every sorted cell and skips the ones without
-        a threshold; here a min-heap over the same processing ranks pops
-        exactly the threshold-carrying cells in the identical order.  A
-        cell's first threshold always comes from a strictly earlier rank
-        (its pusher lies strictly further out in the processing
-        direction), so each cell is heap-inserted before its rank is
-        reached and every epsilon-guarded update happens at the same
-        point of the processing order as in the reference sweep — values
-        and dict insertion order are bit-identical.
-        """
-        thresholds: Dict[int, float] = {}
-        cell_x = ctx.np_cell_x
-        cell_right = ctx.np_cell_right
-        cell_rows = ctx.np_cell_rows
-        position = ctx.position_in_row
-        row_indices = ctx.row_indices
-        heap: List[int] = []
-
-        if leftward:
-            order, rank = ctx.order_desc, ctx.np_rank_desc
-            for row in insertion.rows:
-                indices = row_indices.get(row, [])
-                k = split[row]
-                if k > 0:
-                    idx = indices[k - 1]
-                    prev = thresholds.get(idx)
-                    seed = cell_right[idx]
-                    if prev is None:
-                        thresholds[idx] = seed
-                        heapq.heappush(heap, rank[idx])
-                    elif seed > prev:
-                        thresholds[idx] = seed
-        else:
-            order, rank = ctx.order_asc, ctx.np_rank_asc
-            for row in insertion.rows:
-                indices = row_indices.get(row, [])
-                k = split[row]
-                if k < len(indices):
-                    idx = indices[k]
-                    prev = thresholds.get(idx)
-                    seed = cell_x[idx]
-                    if prev is None:
-                        thresholds[idx] = seed
-                        heapq.heappush(heap, rank[idx])
-                    elif seed < prev:
-                        thresholds[idx] = seed
-
-        while heap:
-            idx = order[heapq.heappop(heap)]
-            bound = thresholds[idx]
-            x_i = cell_x[idx]
-            right_i = cell_right[idx]
-            for row in cell_rows[idx]:
-                pos = position[(idx, row)]
-                limit = split.get(row)
-                indices = row_indices[row]
-                if leftward:
-                    if pos == 0:
-                        continue
-                    if limit is not None and pos >= limit:
-                        # Right-side subcell of a spanned row: never pushes left.
-                        continue
-                    neighbour = indices[pos - 1]
-                    candidate = bound - (x_i - cell_right[neighbour])
-                    current = thresholds.get(neighbour)
-                    if current is None:
-                        thresholds[neighbour] = candidate
-                        heapq.heappush(heap, rank[neighbour])
-                    elif candidate > current + _EPS:
-                        thresholds[neighbour] = candidate
-                else:
-                    if pos == len(indices) - 1:
-                        continue
-                    if limit is not None and pos < limit:
-                        continue
-                    neighbour = indices[pos + 1]
-                    candidate = bound + (cell_x[neighbour] - right_i)
-                    current = thresholds.get(neighbour)
-                    if current is None:
-                        thresholds[neighbour] = candidate
-                        heapq.heappush(heap, rank[neighbour])
-                    elif candidate < current - _EPS:
-                        thresholds[neighbour] = candidate
-        return thresholds
+        return shift_cells_sacs(region, target, insertion, context)

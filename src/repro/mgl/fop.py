@@ -243,7 +243,12 @@ def find_optimal_position(
             )
         )
 
-    if getattr(backend, "supports_point_parallel", False) and backend.should_parallelize_fop(
+    # A fused backend scores the whole region in one call, which costs
+    # less than shipping the region to worker processes.
+    scored = backend.score_points(region, target, points, config)
+    if scored is not None:
+        pass
+    elif getattr(backend, "supports_point_parallel", False) and backend.should_parallelize_fop(
         region, points
     ):
         # Intra-region parallelism (the paper's FOP-PE axis): the point

@@ -24,6 +24,7 @@ from repro.kernels import (
 )
 from repro.kernels.mp_backend import WORKERS_ENV_VAR, default_worker_count
 from repro.mgl.fop import FOPConfig, find_optimal_position
+from repro.mgl.shifting import OriginalShifter
 from repro.perf.report import shard_summary
 
 needs_fork = pytest.mark.skipif(
@@ -135,46 +136,59 @@ class TestKernelDelegation:
         assert resolve_backend(backend) is backend
 
 
+def _pending_region():
+    """A localRegion over a partly legalized design, plus its target."""
+    from repro.testing import small_design
+    from repro.mgl.local_region import build_local_region, initial_window
+    from repro.mgl.premove import premove
+
+    layout = small_design(num_cells=150, density=0.75, seed=21)
+    premove(layout)
+    accepted = []
+    for cell in layout.movable_cells():
+        if not any(cell.overlaps(other) for other in accepted):
+            cell.legalized = True
+            accepted.append(cell)
+    layout.rebuild_index()
+    target = next(c for c in layout.movable_cells() if not c.legalized)
+    window = initial_window(layout, target, width_factor=30.0, min_width=120.0)
+    region, _ = build_local_region(layout, target, window)
+    return region, target
+
+
+def _forced_parallel_fop(region, target, make_shifter):
+    """FOP on a 2-worker backend whose thresholds farm out every region."""
+    from repro.perf.counters import TargetCellWork
+
+    backend = MultiprocessKernelBackend(workers=2)
+    backend.POINT_PARALLEL_MIN_POINTS = 1
+    backend.POINT_PARALLEL_MIN_WORK = 1
+    try:
+        work = TargetCellWork(cell_index=target.index)
+        config = FOPConfig(shifter=make_shifter(backend), backend=backend)
+        result = find_optimal_position(region, target, config, work)
+        return result, work, backend._point_parallel_regions
+    finally:
+        backend.close()
+
+
 @needs_fork
 class TestPointParallel:
     def test_parallel_fop_matches_reference(self):
         """Forced-low thresholds: whole FOP runs through the worker pool."""
-        from repro.testing import small_design
-        from repro.mgl.local_region import build_local_region, initial_window
-        from repro.mgl.premove import premove
         from repro.perf.counters import TargetCellWork
 
-        layout = small_design(num_cells=150, density=0.75, seed=21)
-        premove(layout)
-        accepted = []
-        for cell in layout.movable_cells():
-            if not any(cell.overlaps(other) for other in accepted):
-                cell.legalized = True
-                accepted.append(cell)
-        layout.rebuild_index()
-        target = next(c for c in layout.movable_cells() if not c.legalized)
-        window = initial_window(layout, target, width_factor=30.0, min_width=120.0)
-        region, _ = build_local_region(layout, target, window)
-
+        region, target = _pending_region()
         ref_work = TargetCellWork(cell_index=target.index)
         reference = find_optimal_position(
             region, target,
-            FOPConfig(shifter=SortAheadShifter(), backend="python"),
+            FOPConfig(shifter=OriginalShifter(), backend="python"),
             ref_work,
         )
-
-        backend = MultiprocessKernelBackend(workers=2)
-        backend.POINT_PARALLEL_MIN_POINTS = 1
-        backend.POINT_PARALLEL_MIN_WORK = 1
-        try:
-            work = TargetCellWork(cell_index=target.index)
-            shifter = SortAheadShifter(backend=backend)
-            result = find_optimal_position(
-                region, target, FOPConfig(shifter=shifter, backend=backend), work
-            )
-            assert backend._point_parallel_regions >= 1
-        finally:
-            backend.close()
+        result, work, parallel_regions = _forced_parallel_fop(
+            region, target, lambda backend: OriginalShifter()
+        )
+        assert parallel_regions >= 1
 
         assert (result.feasible, result.bottom_row, result.x, result.cost) == (
             reference.feasible, reference.bottom_row, reference.x, reference.cost
@@ -186,7 +200,27 @@ class TestPointParallel:
         assert result.outcome is not None
         assert result.outcome.left_thresholds == reference.outcome.left_thresholds
         assert result.outcome.right_thresholds == reference.outcome.right_thresholds
-        # Work records (including the once-per-region sort report) match.
+        assert work.insertion_points == ref_work.insertion_points
+
+    def test_sacs_regions_are_not_farmed_out(self):
+        """SACS regions score in-process (fused, or the reference shifter
+        on a host without the native kernel), whatever the thresholds."""
+        from repro.perf.counters import TargetCellWork
+
+        region, target = _pending_region()
+        ref_work = TargetCellWork(cell_index=target.index)
+        reference = find_optimal_position(
+            region, target,
+            FOPConfig(shifter=SortAheadShifter(backend="python"), backend="python"),
+            ref_work,
+        )
+        result, work, parallel_regions = _forced_parallel_fop(
+            region, target, lambda backend: SortAheadShifter(backend=backend)
+        )
+        assert parallel_regions == 0
+        assert (result.x, result.cost, result.insertion) == (
+            reference.x, reference.cost, reference.insertion
+        )
         assert work.insertion_points == ref_work.insertion_points
 
     def test_should_parallelize_respects_thresholds(self):

@@ -6,7 +6,7 @@ equal the pure-Python reference (``evaluate_point_list`` on the
 ``python`` backend) on generated regions, on synthetic regions built to
 hit the epsilon merges and near-tie comparisons, and through whole
 legalizations.  Without a compiler the numpy backend must fall back to
-its array pipeline with identical results.
+the reference SACS shifter with identical results.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -234,9 +235,10 @@ def _legalize(backend, design_name):
 
 
 @pytest.mark.parametrize("design_name", sorted(DESIGN_FACTORIES))
-def test_numpy_fallback_without_compiler_matches_reference(design_name, tmp_path):
+def test_numpy_fallback_without_compiler_matches_reference(design_name, tmp_path, monkeypatch):
+    monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
     backend = NumpyKernelBackend()
-    backend.native = NativeFOP(cache_dir=tmp_path, compiler=[str(tmp_path / "no-such-cc")])
+    backend.native = NativeFOP(cache_dir=tmp_path)
     with pytest.warns(RuntimeWarning, match="native FOP kernel unavailable"):
         fallback = _legalize(backend, design_name)
     assert backend.native.load() is None
@@ -260,8 +262,19 @@ def test_build_is_cached_per_source_and_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(NativeFOP, "_build", no_rebuild)
     again = NativeFOP(cache_dir=tmp_path)
     assert again.load() is not None and again.path == first.path
-    other = NativeFOP(cache_dir=tmp_path, compiler=[*first.compiler, "-g0"])
+    monkeypatch.setenv("CC", shlex.join([*first.compiler, "-g0"]))
+    other = NativeFOP(cache_dir=tmp_path)
     assert other.library_name() != first.library_name()
+
+
+def test_unwritable_cache_dir_disables_the_kernel(tmp_path):
+    """The library is built and loaded only from its cache directory."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    kernel = NativeFOP(cache_dir=blocker / "build")
+    with pytest.warns(RuntimeWarning, match="native FOP kernel unavailable"):
+        assert kernel.load() is None
+    assert kernel.path is None and str(blocker / "build") in kernel.error
 
 
 @needs_native
