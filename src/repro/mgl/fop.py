@@ -246,20 +246,19 @@ def find_optimal_position(
     # A fused backend scores the whole region in one call, which costs
     # less than shipping the region to worker processes.
     scored = backend.score_points(region, target, points, config)
-    if scored is not None:
-        pass
-    elif getattr(backend, "supports_point_parallel", False) and backend.should_parallelize_fop(
-        region, points
-    ):
-        # Intra-region parallelism (the paper's FOP-PE axis): the point
-        # loop is chunked across worker processes; each chunk runs the
-        # exact sequential stages below, and the reduction replays the
-        # full per-point sequence in enumeration order, so results and
-        # work records are bit-for-bit identical.  Outcomes are not
-        # shipped back; the winner's is recomputed locally.
-        scored = backend.evaluate_points_parallel(region, target, points, config)
-    else:
-        scored = evaluate_point_list(region, target, points, config, backend)
+    if scored is None:
+        if getattr(backend, "supports_point_parallel", False) and backend.should_parallelize_fop(
+            region, points
+        ):
+            # Intra-region parallelism (the paper's FOP-PE axis): the point
+            # loop is chunked across worker processes; each chunk runs the
+            # exact sequential stages below, and the reduction replays the
+            # full per-point sequence in enumeration order, so results and
+            # work records are bit-for-bit identical.  Outcomes are not
+            # shipped back; the winner's is recomputed locally.
+            scored = backend.evaluate_points_parallel(region, target, points, config)
+        else:
+            scored = evaluate_point_list(region, target, points, config, backend)
 
     # Reduction to the winning point, in enumeration order.
     for insertion, best_x, cost, outcome, ip_work in scored:
