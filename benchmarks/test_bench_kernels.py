@@ -139,7 +139,7 @@ def test_bench_fop_single_target(benchmark, shifting_case):
 
 # ----------------------------------------------------------------------
 # Kernel-backend comparisons (python reference vs vectorized numpy vs
-# multiprocess sharding)
+# multiprocess point chunking)
 # ----------------------------------------------------------------------
 #: Always the live registry — never hard-code backend names here, or new
 #: backends silently stop being benched and equivalence-checked.

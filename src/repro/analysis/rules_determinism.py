@@ -4,7 +4,7 @@ These guard the headline contract: placements must be bit-for-bit
 identical across backends, worker counts and runs.  They are scoped to
 the modules whose outputs feed placements — the kernel backends, the
 incremental (ECO) engine, the MGL algorithm stack and the core
-shard-planning/ordering code.  Telemetry and benchmark-generation
+ordering code.  Telemetry and benchmark-generation
 modules are deliberately out of scope: wall clocks and RNGs are fine
 where they cannot reach a placement.
 """
@@ -116,11 +116,11 @@ def _set_typed_self_attrs(tree: ast.Module) -> Set[str]:
 class SetIterationRule(Rule):
     """Iterating a set (or frozenset) yields an unspecified order.
 
-    Any ordered output derived from it — placements, shard packing,
+    Any ordered output derived from it — placements, processing order,
     dirty lists — silently depends on hash seeding and insertion
-    history.  Wrap the iteration in ``sorted(...)`` (every dirty-set and
-    shard-planning path in this repo already does) or keep a parallel
-    ordered container.
+    history.  Wrap the iteration in ``sorted(...)`` (every dirty-set
+    path in this repo already does) or keep a parallel ordered
+    container.
     """
 
     id = "det-set-iter"

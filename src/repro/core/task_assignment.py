@@ -21,15 +21,10 @@ needs to model Fig. 10.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from repro.perf.counters import LegalizationTrace, TargetCellWork
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.cell import Cell
-    from repro.geometry.layout import Layout
 
 
 class TaskPartition(enum.Enum):
@@ -156,389 +151,3 @@ class TaskAssignment:
             preloadable = flags[i] if i < len(flags) else True
             targets.append(self.assign_target(work, preloadable=preloadable))
         return AssignmentSummary(partition=self.partition, targets=targets)
-
-
-# ======================================================================
-# Shard partitioning for the multiprocess host backend
-# ======================================================================
-#
-# The paper's parallelism argument (and the CPU baselines of Sec. 5.4) is
-# that legalization parallelises across *independent local regions*: two
-# target cells whose search windows never touch cannot influence each
-# other, because every read (region extraction, density) and every write
-# (cell shifts, the committed target position) of a target stays inside
-# its window.  ``plan_shards`` turns that observation into a partition:
-# initial search windows are grouped into connected components by
-# rectangle overlap, and components are packed onto worker processes.
-# Targets in different workers provably do not interact as long as each
-# stays inside its initial window; window *expansions* (retries) are
-# detected after the fact against the recorded ``final_window`` rects and
-# invalidate the packing only when they cross into another worker.
-
-#: Safety margin (sites/rows) added to every window-overlap test, large
-#: enough to absorb the geometric epsilons used by region extraction.
-WINDOW_OVERLAP_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class TargetWindowRect:
-    """The influence rectangle of one target cell (its search window)."""
-
-    cell_index: int
-    x_lo: float
-    x_hi: float
-    row_lo: int
-    row_hi: int
-
-    def overlaps(self, other: "TargetWindowRect", margin: float = WINDOW_OVERLAP_MARGIN) -> bool:
-        """True when the two rectangles intersect (with a safety margin)."""
-        return (
-            self.x_lo < other.x_hi + margin
-            and other.x_lo < self.x_hi + margin
-            and self.row_lo < other.row_hi + margin
-            and other.row_lo < self.row_hi + margin
-        )
-
-    @property
-    def area(self) -> float:
-        return max(0.0, self.x_hi - self.x_lo) * max(0, self.row_hi - self.row_lo)
-
-
-@dataclass
-class ShardPlan:
-    """A conflict-free partition of a run's target cells onto workers.
-
-    ``shards[w]`` lists the cell indices assigned to worker ``w`` in the
-    *global* processing order, so each worker is exactly the sequential
-    legalizer restricted to its subsequence.  ``components`` are the
-    window-overlap connected components (the atomic units of the
-    packing); all targets of a component land on the same worker.
-    """
-
-    n_workers: int
-    shards: List[List[int]] = field(default_factory=list)
-    components: List[List[int]] = field(default_factory=list)
-    windows: Dict[int, TargetWindowRect] = field(default_factory=dict)
-    worker_of: Dict[int, int] = field(default_factory=dict)
-    n_seed_clusters: int = 0
-    """Number of dirty-cluster seeds the packing honoured (0 when the
-    plan was built from window overlaps alone)."""
-
-    def stats(self) -> Dict[str, object]:
-        """Summary statistics recorded into ``LegalizationTrace.shard_stats``."""
-        sizes = [len(s) for s in self.shards]
-        return {
-            "n_components": len(self.components),
-            "largest_component": max((len(c) for c in self.components), default=0),
-            "shard_targets": sizes,
-            "n_nonempty_shards": sum(1 for s in sizes if s),
-            "n_seed_clusters": self.n_seed_clusters,
-        }
-
-    def parallelism(self) -> int:
-        """Number of workers that actually received targets."""
-        return sum(1 for s in self.shards if s)
-
-    def shard_descriptors(self) -> List["array.array"]:
-        """The shards as compact target-index slices for pipe transport.
-
-        With the shared-memory sync carrying all cell state, a shard
-        descriptor is nothing but the target indices — packed into
-        ``array('q')`` vectors, which pickle as raw int64 buffers
-        (several times smaller and faster than lists of python ints).
-        Order inside each descriptor is the global processing order,
-        identical to :attr:`shards`.
-        """
-        import array
-
-        return [array.array("q", shard) for shard in self.shards]
-
-
-def target_window_rect(
-    layout: "Layout",
-    target: "Cell",
-    *,
-    width_factor: float = 5.0,
-    min_width: float = 24.0,
-    extra_rows: int = 3,
-    slack: Optional[float] = None,
-    growth: Optional[float] = None,
-    max_growths: Optional[int] = None,
-    use_planner: bool = True,
-) -> TargetWindowRect:
-    """The planned initial search window of a (pre-moved) target.
-
-    Delegates to :func:`repro.mgl.window_planner.plan_initial_window`
-    (the occupancy-aware planner over the geometric base window) so the
-    shard partition reasons about the *same floats* the legalizer will
-    open — the escape validation compares planned and recorded windows
-    for exact equality, so a second copy of the formula would be a trap.
-    The plan is computed against the layout's *current* occupancy; the
-    sharder calls it before any target commits, and per-worker replans
-    that drift from it are caught by :func:`find_escaped_conflicts`
-    exactly like retry expansions.  (Imported lazily to keep core free
-    of a module-level mgl dependency.)
-    """
-    from repro.mgl.window_planner import plan_initial_window
-
-    window, _growths = plan_initial_window(
-        layout,
-        target,
-        width_factor=width_factor,
-        min_width=min_width,
-        extra_rows=extra_rows,
-        slack=slack,
-        growth=growth,
-        max_growths=max_growths,
-        use_planner=use_planner,
-    )
-    return TargetWindowRect(
-        cell_index=target.index,
-        x_lo=window.x_lo,
-        x_hi=window.x_hi,
-        row_lo=window.row_lo,
-        row_hi=window.row_hi,
-    )
-
-
-def _connected_components(windows: Sequence[TargetWindowRect]) -> List[List[int]]:
-    """Union-find over window-rectangle overlaps.
-
-    Returns components as lists of *positions* into ``windows`` (which is
-    ordered by processing order, so components inherit that order).  Uses
-    an x-sweep so the common sparse case stays near ``O(n log n)``.
-    """
-    n = len(windows)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    order = sorted(range(n), key=lambda i: (windows[i].x_lo, windows[i].cell_index))
-    active: List[int] = []
-    for i in order:
-        w = windows[i]
-        still_active: List[int] = []
-        for j in active:
-            if windows[j].x_hi + WINDOW_OVERLAP_MARGIN <= w.x_lo:
-                continue
-            still_active.append(j)
-            if w.overlaps(windows[j]):
-                union(i, j)
-        still_active.append(i)
-        active = still_active
-
-    groups: Dict[int, List[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    # Deterministic order: by first (processing-order) member.
-    return [groups[root] for root in sorted(groups, key=lambda r: min(groups[r]))]
-
-
-def cluster_targets(
-    layout: "Layout",
-    targets: Sequence["Cell"],
-    *,
-    x_radius: float = 12.0,
-    row_radius: int = 3,
-) -> List[List[int]]:
-    """Group targets into spatial dirty clusters (ECO shard seeds).
-
-    An ECO dirty set is not spread uniformly over the chip: it clumps
-    around the footprints the delta batch touched (a moved macro's old
-    and new location, a resized cell's row, an insertion's
-    neighbourhood).  This groups the targets by rectangle proximity —
-    two targets belong to the same cluster when their rectangles,
-    expanded by ``x_radius`` sites and ``row_radius`` rows, overlap
-    (transitively) — using the same deterministic union-find sweep as
-    the window-overlap components.
-
-    Returns clusters as lists of cell indices, ordered by each cluster's
-    first member in ``targets`` order.  The result is a *seeding hint*
-    for :func:`plan_shards`: it never overrides the window-overlap
-    safety invariant, it only keeps each spatial cluster on one worker.
-    """
-    rects = [
-        TargetWindowRect(
-            cell_index=t.index,
-            x_lo=t.x - x_radius,
-            x_hi=t.x + t.width + x_radius,
-            row_lo=int(math.floor(t.y)) - row_radius,
-            row_hi=int(math.ceil(t.y + t.height)) + row_radius,
-        )
-        for t in targets
-    ]
-    return [
-        [rects[pos].cell_index for pos in component]
-        for component in _connected_components(rects)
-    ]
-
-
-def _merge_components_by_seeds(
-    components: List[List[int]],
-    windows: Sequence[TargetWindowRect],
-    cluster_seeds: Sequence[Sequence[int]],
-) -> List[List[int]]:
-    """Coarsen window components so each seed cluster stays together.
-
-    Components already guarantee cross-worker window disjointness;
-    merging two components can only *coarsen* the partition, so the
-    merged grouping keeps that guarantee (and the escape validation
-    unchanged).  Seeds referencing unknown cell indices are ignored.
-    """
-    cluster_of: Dict[int, int] = {}
-    for cid, members in enumerate(cluster_seeds):
-        for cell_index in members:
-            cluster_of[cell_index] = cid
-
-    parent = list(range(len(components)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    first_component_of: Dict[int, int] = {}
-    for comp_id, component in enumerate(components):
-        for pos in component:
-            cid = cluster_of.get(windows[pos].cell_index)
-            if cid is None:
-                continue
-            if cid in first_component_of:
-                union(comp_id, first_component_of[cid])
-            else:
-                first_component_of[cid] = comp_id
-
-    groups: Dict[int, List[int]] = {}
-    for comp_id, component in enumerate(components):
-        groups.setdefault(find(comp_id), []).extend(component)
-    merged = [sorted(group) for group in groups.values()]
-    merged.sort(key=min)  # deterministic: by first processing-order member
-    return merged
-
-
-def plan_shards(
-    layout: "Layout",
-    ordered_targets: Sequence["Cell"],
-    n_workers: int,
-    *,
-    width_factor: float = 5.0,
-    min_width: float = 24.0,
-    extra_rows: int = 3,
-    slack: Optional[float] = None,
-    growth: Optional[float] = None,
-    max_growths: Optional[int] = None,
-    use_planner: bool = True,
-    cluster_seeds: Optional[Sequence[Sequence[int]]] = None,
-) -> ShardPlan:
-    """Partition an ordered target sequence into conflict-free shards.
-
-    Components are packed greedily (largest estimated work first) onto
-    the least-loaded worker; the work estimate is the summed window area,
-    which tracks the FOP cost of a region far better than a plain target
-    count.  Every target lands on exactly one worker and keeps its global
-    processing rank, so each shard replayed sequentially is exactly the
-    reference algorithm restricted to that shard.
-
-    ``cluster_seeds`` (the ECO mode, see :func:`cluster_targets`)
-    additionally merges the window components so every seed cluster's
-    targets land on one worker: a dirty cluster's retries expand into
-    its own spatial neighbourhood, so keeping the neighbourhood on one
-    worker turns would-be cross-worker escapes (which force a sequential
-    re-run) into harmless same-worker overlaps.  Merging only coarsens
-    the window-disjoint partition, so results stay bit-for-bit identical
-    to the sequential reference at any worker count.
-    """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
-    windows = [
-        target_window_rect(
-            layout,
-            target,
-            width_factor=width_factor,
-            min_width=min_width,
-            extra_rows=extra_rows,
-            slack=slack,
-            growth=growth,
-            max_growths=max_growths,
-            use_planner=use_planner,
-        )
-        for target in ordered_targets
-    ]
-    components = _connected_components(windows)
-    if cluster_seeds:
-        components = _merge_components_by_seeds(components, windows, cluster_seeds)
-
-    plan = ShardPlan(n_workers=n_workers, shards=[[] for _ in range(n_workers)])
-    plan.n_seed_clusters = len(cluster_seeds) if cluster_seeds else 0
-    plan.windows = {w.cell_index: w for w in windows}
-    plan.components = [
-        [windows[pos].cell_index for pos in component] for component in components
-    ]
-
-    weights = [
-        (sum(windows[pos].area for pos in component), comp_id)
-        for comp_id, component in enumerate(components)
-    ]
-    # Largest first; ties broken by component id (= first-member order).
-    loads = [0.0] * n_workers
-    shard_positions: List[List[int]] = [[] for _ in range(n_workers)]
-    for weight, comp_id in sorted(weights, key=lambda t: (-t[0], t[1])):
-        worker = min(range(n_workers), key=lambda w: (loads[w], w))
-        loads[worker] += weight
-        shard_positions[worker].extend(components[comp_id])
-    for worker, positions in enumerate(shard_positions):
-        positions.sort()  # restore global processing order inside the shard
-        plan.shards[worker] = [windows[pos].cell_index for pos in positions]
-        for pos in positions:
-            plan.worker_of[windows[pos].cell_index] = worker
-    return plan
-
-
-def find_escaped_conflicts(
-    plan: ShardPlan,
-    final_windows: Dict[int, TargetWindowRect],
-) -> List[int]:
-    """Validate a parallel run against the windows it actually used.
-
-    ``final_windows`` maps each processed target to the last (largest)
-    window it opened — equal to its planned initial window unless the
-    target retried with an expanded window or fell back to the whole-chip
-    search.  Returns the targets whose final window overlaps the final
-    window of any target owned by a *different* worker; an empty list
-    proves the parallel execution is equivalent to the sequential one
-    (within a worker the shard is processed in global order, so
-    same-worker overlaps are harmless).
-    """
-    expanded = [
-        t
-        for t, rect in final_windows.items()
-        if rect != plan.windows.get(t)
-    ]
-    if not expanded:
-        return []
-    conflicts: List[int] = []
-    for t in expanded:
-        rect = final_windows[t]
-        owner = plan.worker_of.get(t)
-        for other, other_rect in final_windows.items():
-            if other == t or plan.worker_of.get(other) == owner:
-                continue
-            if rect.overlaps(other_rect):
-                conflicts.append(t)
-                break
-    return sorted(conflicts)

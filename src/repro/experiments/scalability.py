@@ -63,8 +63,8 @@ def run_scalability(
         notes=[
             "FLEX parallelises insertion points of the same region (cheap sync); "
             "the CPU legalizer parallelises regions and saturates at ~1.8x",
-            "host-side multiprocess sharding is measured (not modeled) by "
-            "run_worker_scalability",
+            "host-side multiprocess point chunking is measured (not modeled) "
+            "by run_worker_scalability",
         ],
     )
 
@@ -89,11 +89,10 @@ def run_worker_scalability(
     average displacement.
 
     ``repeat`` runs each configuration that many times and reports the
-    fastest run.  The multiprocess backend keeps its worker pool (and
-    the shared-memory cell store) alive between repeats, so with
-    ``repeat >= 2`` the reported number is the steady-state warm-pool
-    cost — what an ECO stream actually pays — rather than the one-off
-    fork latency of the first run.
+    fastest run.  The multiprocess backend keeps its worker pool alive
+    between repeats, so with ``repeat >= 2`` the reported number is the
+    steady-state warm-pool cost — what an ECO stream actually pays —
+    rather than the one-off fork latency of the first run.
     """
     from repro.benchgen import iccad2017_design
     from repro.kernels import MultiprocessKernelBackend, available_backends
@@ -143,12 +142,7 @@ def run_worker_scalability(
             # Release the persistent worker pool before timing the next
             # row — idle forked workers would contaminate the sweep.
             backend.close()
-        stats = result.trace.shard_stats or {}
-        detail = stats.get("mode", "?")
-        if stats.get("mode") == "wavefront":
-            detail += f" rej={stats.get('speculation_rejects', 0)}"
-        if stats.get("sequential_rerun"):
-            detail += " rerun"
+        detail = f"parallel-regions={result.trace.parallel_regions}"
         rows.append(
             [
                 "multiprocess",
@@ -177,8 +171,9 @@ def run_worker_scalability(
         notes=[
             "all rows are bit-for-bit identical placements; only wall time varies",
             f"wall_s is the best of {repeat} run(s); repeats >= 2 reuse the "
-            "persistent worker pool (warm shared-memory path)",
-            "speculation rejects show where dense designs serialise the wavefront",
+            "persistent worker pool",
+            "mode counts the regions whose insertion points were chunked "
+            "across the worker pool",
             "retry0_% / retries report the occupancy-aware window planner's "
             "feasibility counters (identical across rows, like AveDis)",
         ],

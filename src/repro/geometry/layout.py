@@ -21,7 +21,7 @@ Design notes
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.geometry.cell import Cell
 from repro.geometry.interval import Interval
@@ -215,9 +215,7 @@ class Layout:
         """Revert a :meth:`mark_legalized` call.
 
         Restores the cell to position ``(x, y)`` and its previous
-        legalization state, keeping the obstacle index consistent.  Used
-        by speculative evaluation (the multiprocess backend's workers
-        undo uncommitted placements before processing the next target).
+        legalization state, keeping the obstacle index consistent.
         """
         self._remove_from_index(cell)
         cell.x = float(x)
@@ -550,94 +548,6 @@ class Layout:
     def row_span_interval(self, row: int) -> Interval:
         """Horizontal extent of a row as an interval."""
         return self.rows[row].span
-
-    # ------------------------------------------------------------------
-    # Array-view export / writeback (multiprocess shared-memory sync)
-    # ------------------------------------------------------------------
-    def export_cell_arrays(self, columns: Dict[str, object]) -> int:
-        """Stage every cell's numeric state into ``columns`` (writeback out).
-
-        ``columns`` maps the field names of
-        :data:`repro.kernels.shm.CELL_FIELDS` to writable array views of
-        length ``len(self.cells)`` (typically slices of a shared-memory
-        block).  The staging itself is vectorized in the numpy backend
-        (:func:`repro.kernels.numpy_backend.stage_cell_arrays`) so it
-        shares the dtype conventions of the ``minimize_batch`` /
-        ``evaluate_batch`` pipelines.  Returns the number of cells
-        staged.
-        """
-        from repro.kernels.numpy_backend import stage_cell_arrays
-
-        stage_cell_arrays(self.cells, columns)
-        return len(self.cells)
-
-    def apply_cell_arrays(
-        self,
-        columns: Dict[str, object],
-        n_cells: int,
-        new_names: Sequence[str] = (),
-    ) -> None:
-        """Overwrite cell state from exported columns (writeback in).
-
-        The inverse of :meth:`export_cell_arrays`: updates every
-        existing cell's position, global-placement anchor, dimensions
-        and fixed/legalized flags from the first ``n_cells`` entries of
-        ``columns``, appends :class:`Cell` objects for entries beyond
-        the current cell list (``new_names`` supplies their names, in
-        order; missing names fall back to the ``c<index>`` default), and
-        rebuilds the obstacle index.  Accepts numpy array views or plain
-        lists; float64 columns round-trip python floats exactly, so an
-        applied layout is bit-for-bit the exported one.
-        """
-        from repro.kernels.shm import FLAG_FIXED, FLAG_LEGALIZED
-
-        def as_list(column) -> List[float]:
-            values = column.tolist() if hasattr(column, "tolist") else list(column)
-            if len(values) < n_cells:
-                raise ValueError(
-                    f"cell column holds {len(values)} entries, need {n_cells}"
-                )
-            return values
-
-        if len(self.cells) > n_cells:
-            raise ValueError(
-                f"cannot shrink layout from {len(self.cells)} to {n_cells} cells"
-            )
-        xs = as_list(columns["x"])
-        ys = as_list(columns["y"])
-        gp_xs = as_list(columns["gp_x"])
-        gp_ys = as_list(columns["gp_y"])
-        widths = as_list(columns["width"])
-        heights = as_list(columns["height"])
-        flags = as_list(columns["flags"])
-        for i, cell in enumerate(self.cells):
-            bits = int(flags[i])
-            cell.x = xs[i]
-            cell.y = ys[i]
-            cell.gp_x = gp_xs[i]
-            cell.gp_y = gp_ys[i]
-            cell.width = widths[i]
-            cell.height = int(heights[i])
-            cell.fixed = bool(bits & FLAG_FIXED)
-            cell.legalized = bool(bits & FLAG_LEGALIZED)
-        base = len(self.cells)
-        for i in range(base, n_cells):
-            bits = int(flags[i])
-            self.cells.append(
-                Cell(
-                    index=i,
-                    width=widths[i],
-                    height=int(heights[i]),
-                    gp_x=gp_xs[i],
-                    gp_y=gp_ys[i],
-                    x=xs[i],
-                    y=ys[i],
-                    fixed=bool(bits & FLAG_FIXED),
-                    legalized=bool(bits & FLAG_LEGALIZED),
-                    name=new_names[i - base] if i - base < len(new_names) else "",
-                )
-            )
-        self.rebuild_index()
 
     # ------------------------------------------------------------------
     # Convenience / debug

@@ -104,7 +104,7 @@ def _require_fits_chip(layout: Layout, width: float, height: int, *, what: str) 
 
     The old clamp silently parked an oversized cell at the origin with
     its rectangle hanging off the chip — an out-of-chip "placement" that
-    every later query (occupancy, legality, shard windows) mishandles in
+    every later query (occupancy, legality, search windows) mishandles in
     its own way.  Degenerate geometry is a caller error; raise it.
     """
     if width > layout.width or height > layout.num_rows:

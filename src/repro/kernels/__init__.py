@@ -14,9 +14,9 @@ implementations can be swapped without touching the algorithm layer:
     importable.
 ``multiprocess``
     Host-side process parallelism over the fastest sequential kernels
-    (:mod:`repro.kernels.mp_backend`): static window-disjoint sharding,
-    a speculative wavefront, and intra-region insertion-point chunking,
-    all with deterministic merges.  Accepts a ``"multiprocess:N"``
+    (:mod:`repro.kernels.mp_backend`): a persistent worker pool chunks
+    heavy regions' insertion points for the original shifter and
+    reassembles them in enumeration order.  Accepts a ``"multiprocess:N"``
     spelling to pin the worker count from string-only configuration.
 
 Selecting a backend

@@ -52,28 +52,23 @@ class KernelBackend(ABC):
     #: Registry / configuration name of the backend (``"python"``, ...).
     name: str = "abstract"
 
-    #: True for backends that parallelise whole legalization runs across
-    #: OS processes (see :mod:`repro.kernels.mp_backend`).  Such backends
-    #: additionally implement ``legalize_sharded(legalizer, layout,
-    #: ordered, trace, *, clusters=None)`` and
-    #: :class:`~repro.mgl.legalizer.MGLLegalizer` hands them the run
-    #: after pre-move and ordering.  ``ordered`` is an *explicit target
-    #: subset*: it may cover every pending cell (a full run) or only a
-    #: dirty subset (an incremental re-legalization via
-    #: ``MGLLegalizer.legalize_subset``); implementations must restrict
-    #: themselves to exactly those targets and never pull in other
-    #: unlegalized cells of the layout.  ``clusters`` optionally carries
-    #: the subset's spatial dirty clusters (lists of cell indices) as
-    #: shard-planning seeds; honouring them must never change results.
-    supports_layout_parallel: bool = False
-
     #: True for backends that parallelise the FOP candidate loop *within*
-    #: one localRegion (the paper's FOP-PE axis).  Such backends
-    #: additionally implement ``should_parallelize_fop(region, points)``
-    #: and ``evaluate_points_parallel(region, target, points, config)``;
+    #: one localRegion across OS processes (the paper's FOP-PE axis; see
+    #: :mod:`repro.kernels.mp_backend`).  Such backends additionally
+    #: implement ``should_parallelize_fop(region, points, config)`` and
+    #: ``evaluate_points_parallel(region, target, points, config)``;
     #: :func:`repro.mgl.fop.find_optimal_position` calls them per region
-    #: that :meth:`score_points` does not score.
+    #: that :meth:`score_points` does not score.  Each region farmed out
+    #: is counted in :attr:`parallel_regions`.
     supports_point_parallel: bool = False
+
+    #: Processes that execute FOP work: 1 for sequential backends, the
+    #: pool size for process-parallel ones.
+    workers: int = 1
+
+    #: Regions whose FOP candidate loop this backend has chunked across
+    #: worker processes over its lifetime.
+    parallel_regions: int = 0
 
     # ------------------------------------------------------------------
     # Displacement-curve kernels

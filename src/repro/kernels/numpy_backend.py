@@ -38,7 +38,7 @@ kernel shifts SACS points with the Python reference.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 try:  # numpy is an optional dependency of the package
     import numpy as np
@@ -62,45 +62,6 @@ _INF = math.inf
 #: correctness is identical on both sides of the threshold (empirically
 #: tuned on ICCAD-2017-like regions, see benchmarks/test_bench_kernels.py).
 _VECTOR_MIN = 48
-
-
-def stage_cell_arrays(cells: Sequence[Any], columns: Dict[str, Any]) -> None:
-    """Fill shared cell-state columns from ``cells`` (one bulk pass each).
-
-    The staging layer of the multiprocess backend's zero-copy shard
-    sync (:mod:`repro.kernels.shm`): every numeric cell field is packed
-    into a float64 column with ``np.fromiter``, the same flat-float64
-    convention the ``minimize_batch`` / ``evaluate_batch`` pipelines
-    use.  ``columns`` maps field names to writable length-``len(cells)``
-    array views (typically rows of one shared-memory block).  Integer
-    fields (height, flags) are exact in float64 far beyond any real
-    design size, so a round trip through the columns is bit-for-bit.
-    """
-    if np is None:  # pragma: no cover - callers gate on numpy availability
-        raise RuntimeError("stage_cell_arrays requires numpy")
-    n = len(cells)
-    columns["x"][:n] = np.fromiter((c.x for c in cells), dtype=np.float64, count=n)
-    columns["y"][:n] = np.fromiter((c.y for c in cells), dtype=np.float64, count=n)
-    columns["gp_x"][:n] = np.fromiter(
-        (c.gp_x for c in cells), dtype=np.float64, count=n
-    )
-    columns["gp_y"][:n] = np.fromiter(
-        (c.gp_y for c in cells), dtype=np.float64, count=n
-    )
-    columns["width"][:n] = np.fromiter(
-        (c.width for c in cells), dtype=np.float64, count=n
-    )
-    columns["height"][:n] = np.fromiter(
-        (c.height for c in cells), dtype=np.float64, count=n
-    )
-    columns["flags"][:n] = np.fromiter(
-        (
-            (1 if c.fixed else 0) | (2 if c.legalized else 0)
-            for c in cells
-        ),
-        dtype=np.float64,
-        count=n,
-    )
 
 
 class CurveArrays:

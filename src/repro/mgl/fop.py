@@ -247,8 +247,8 @@ def find_optimal_position(
     # less than shipping the region to worker processes.
     scored = backend.score_points(region, target, points, config)
     if scored is None:
-        if getattr(backend, "supports_point_parallel", False) and backend.should_parallelize_fop(
-            region, points
+        if backend.supports_point_parallel and backend.should_parallelize_fop(
+            region, points, config
         ):
             # Intra-region parallelism (the paper's FOP-PE axis): the point
             # loop is chunked across worker processes; each chunk runs the

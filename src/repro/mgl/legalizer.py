@@ -180,8 +180,7 @@ class MGLLegalizer:
     # ------------------------------------------------------------------
     def window_params(self) -> dict:
         """Initial-window planning parameters, keyword-compatible with
-        :func:`repro.mgl.window_planner.plan_initial_window` and
-        :func:`repro.core.task_assignment.plan_shards`."""
+        :func:`repro.mgl.window_planner.plan_initial_window`."""
         return dict(
             width_factor=self.window_width_factor,
             min_width=self.window_min_width,
@@ -193,7 +192,7 @@ class MGLLegalizer:
         )
 
     def close(self) -> None:
-        """Release backend-held resources (worker pools, shared memory).
+        """Release backend-held resources (worker pools).
 
         The ``multiprocess`` backend keeps a persistent worker pool for
         the legalizer's lifetime; ``close()`` hands the release through
@@ -219,8 +218,8 @@ class MGLLegalizer:
     def with_backend(self, backend: BackendSpec) -> "MGLLegalizer":
         """A clone of this legalizer running on a different kernel backend.
 
-        Used by layout-parallel backends to hand their worker processes a
-        sequential legalizer with identical parameters.
+        Used by the incremental engine to run a caller's legalizer on an
+        explicitly chosen backend with identical parameters.
         """
         return MGLLegalizer(
             self.fop_config,
@@ -268,15 +267,6 @@ class MGLLegalizer:
         on the same layout state: a full run's pending set would be the
         same cells, and the processing ordering, window planning and
         kernel backends all restrict naturally to the subset.
-
-        When the kernel backend shards across workers, the targets'
-        spatial dirty clusters (:func:`repro.core.task_assignment
-        .cluster_targets`) are handed to the shard planner as seeds, so
-        each ECO dirty neighbourhood stays on one worker — window
-        retries then expand inside their own worker's territory instead
-        of escaping into another's and forcing a sequential re-run.
-        Seeding only coarsens the window-disjoint partition, so results
-        remain bit-for-bit identical at any worker count.
         """
         start = time.perf_counter()
         for target in targets:
@@ -287,25 +277,12 @@ class MGLLegalizer:
                 )
             if layout.cells[target.index] is not target:
                 raise ValueError(f"cell {target.name} does not belong to this layout")
-        backend = resolve_backend(self.fop_config.backend)
-        clusters = None
-        if backend.supports_layout_parallel and targets:
-            from repro.core.task_assignment import cluster_targets
-
-            clusters = cluster_targets(
-                layout,
-                targets,
-                x_radius=self.window_min_width / 2.0,
-                row_radius=self.window_extra_rows,
-            )
         trace = self._new_trace(layout)
         with span("mgl.premove", subset=True):
             for target in targets:
                 premove_cell(layout, target)
         trace.premove_cells = len(targets)
-        return self._legalize_pending(
-            layout, list(targets), trace, start, shard_clusters=clusters
-        )
+        return self._legalize_pending(layout, list(targets), trace, start)
 
     # ------------------------------------------------------------------
     def _new_trace(self, layout: Layout) -> LegalizationTrace:
@@ -325,8 +302,6 @@ class MGLLegalizer:
         pending: List[Cell],
         trace: LegalizationTrace,
         start: float,
-        *,
-        shard_clusters: Optional[List[List[int]]] = None,
     ) -> LegalizationResult:
         """Order and legalize a pending target set (shared run tail)."""
         backend = resolve_backend(self.fop_config.backend)
@@ -338,14 +313,11 @@ class MGLLegalizer:
         )
 
         with span("mgl.place", targets=len(ordered), backend=backend.name) as sp:
-            if backend.supports_layout_parallel:
-                # Sharded execution across worker processes; produces results
-                # and work records bit-for-bit equal to the sequential run.
-                failed = backend.legalize_sharded(
-                    self, layout, ordered, trace, clusters=shard_clusters
-                )
-            else:
-                failed = self._legalize_ordered(layout, ordered, trace)
+            regions_before = backend.parallel_regions
+            failed = self._legalize_ordered(layout, ordered, trace)
+            trace.parallel_regions = backend.parallel_regions - regions_before
+            if trace.parallel_regions:
+                trace.worker_count = backend.workers
             if obs_enabled():
                 # The per-stage FOP workload split is O(targets) to fold,
                 # so it is attached to the span only when tracing is on.
@@ -391,7 +363,6 @@ class MGLLegalizer:
         for retry in range(self.max_retries + 1):
             region, scanned = builder.build(window)
             work.window_retries = retry
-            work.final_window = (window.x_lo, window.x_hi, window.row_lo, window.row_hi)
             work.n_local_cells = len(region.local_cells)
             work.n_subcells = region.total_subcells()
             work.n_rows = len(region.segments)
@@ -412,7 +383,6 @@ class MGLLegalizer:
             )
         # Fallback: direct nearest-free-space search over the whole chip.
         work.fallback_used = True
-        work.final_window = (0.0, layout.width, 0, layout.num_rows)
         position = self._fallback_position(layout, target)
         if position is None:
             return False, work

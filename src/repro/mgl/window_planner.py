@@ -5,9 +5,7 @@ is sized from the target alone (``width_factor`` / ``min_width`` /
 ``extra_rows``), so on dense designs it routinely lands on fully
 fragmented free space and the retry-0 FOP pass finds no feasible
 insertion point — every such target pays one or more ``window_expansion``
-retries, and shard planning must assume the escaped window, which caps
-across-region multiprocess parallelism (the saturation effect of paper
-Sec. 5.4).
+retries.
 
 :func:`plan_initial_window` fixes that deterministically: it consults the
 layout's free-space summary (:meth:`repro.geometry.layout.Layout
@@ -17,10 +15,7 @@ both in total area and as a contiguous band of candidate bottom rows
 each wide enough for the slackened target.  Growth is monotone (every
 step returns a superset window) and shifts asymmetrically off the chip
 boundary, so the planner's entire read set is contained in the window it
-returns.  That containment is what keeps the multiprocess backends
-bit-for-bit: any concurrent commit that could have changed a plan
-necessarily intersects the planned window, which the escape / hazard
-validation already checks.
+returns.
 
 The planner is pure Python arithmetic over the shared layout summary, so
 every kernel backend computes the identical floats.
@@ -132,8 +127,7 @@ def plan_initial_window(
 
     ``slack`` / ``growth`` / ``max_growths`` default (via ``None``) to
     the module's ``DEFAULT_*`` constants, so callers that do not tune
-    them — notably :func:`repro.core.task_assignment.target_window_rect`
-    — can never drift from the planner's single source of defaults.
+    them can never drift from the planner's single source of defaults.
 
     Opens the geometric window of :func:`~repro.mgl.local_region
     .initial_window` and, when the planner is enabled, grows it until
@@ -141,12 +135,6 @@ def plan_initial_window(
     exhausted, or the window covers the whole chip).  Returns the window
     together with the number of growth steps taken — recorded as
     ``planner_growths`` in the target's work counters.
-
-    This is the single source of the planned-window floats: both
-    :meth:`repro.mgl.legalizer.MGLLegalizer._legalize_cell` and
-    :func:`repro.core.task_assignment.target_window_rect` call it, so
-    the shard escape validation can compare planned and recorded windows
-    for exact equality.
     """
     from repro.mgl.local_region import initial_window
 

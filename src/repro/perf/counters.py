@@ -22,7 +22,7 @@ The granularity mirrors the decomposition of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 
 #: The six operations inside the FOP inner loop, in paper order (Fig. 3(e)).
@@ -115,11 +115,6 @@ class TargetCellWork:
     region_density: float = 0.0
     region_transfer_words: int = 0
     update_moved_cells: int = 0
-    final_window: Optional[Tuple[float, float, int, int]] = None
-    """``(x_lo, x_hi, row_lo, row_hi)`` of the last (largest) search window
-    used for this target; the whole chip when the free-space fallback ran.
-    The multiprocess shard merge uses it to prove that a target's influence
-    stayed inside its shard."""
     insertion_points: List[InsertionPointWork] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -285,13 +280,12 @@ class LegalizationTrace:
     and experiment reports label measured wall times per backend."""
     worker_count: int = 1
     """Number of OS processes that executed FOP work (1 for every
-    sequential backend; the ``multiprocess`` backend records its pool
-    size here).  Results are worker-count independent."""
-    shard_stats: Optional[Dict[str, Any]] = None
-    """Shard partition statistics recorded by the ``multiprocess``
-    backend: component/shard counts, per-shard target counts, escaped
-    windows and whether the deterministic sequential re-run was taken.
-    ``None`` for sequential backends."""
+    sequential backend and for ``multiprocess`` runs that farmed out no
+    region; otherwise the ``multiprocess`` pool size).  Results are
+    worker-count independent."""
+    parallel_regions: int = 0
+    """localRegions whose FOP candidate loop was chunked across worker
+    processes (always 0 for sequential backends)."""
     num_cells: int = 0
     num_movable: int = 0
     # Step (a): input & pre-move — one unit of work per movable cell.
@@ -411,6 +405,7 @@ class LegalizationTrace:
             shift_algorithm=self.shift_algorithm,
             kernel_backend=self.kernel_backend,
             worker_count=max(self.worker_count, other.worker_count),
+            parallel_regions=self.parallel_regions + other.parallel_regions,
             num_cells=self.num_cells + other.num_cells,
             num_movable=self.num_movable + other.num_movable,
             premove_cells=self.premove_cells + other.premove_cells,

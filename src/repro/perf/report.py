@@ -88,37 +88,14 @@ class SpeedupReport:
 def shard_summary(trace) -> str:
     """One-line host-parallelism summary of a legalization trace.
 
-    Sequential backends report ``workers=1``; the ``multiprocess``
-    backend additionally reports its partition statistics (shard layout,
-    speculation rejects, whether the deterministic sequential re-run was
-    taken) so that worker-count sweeps can be read off run reports.
+    Reports the backend and the processes that executed FOP work; a
+    ``multiprocess`` run that chunked regions' insertion points across
+    its worker pool adds how many regions it farmed out.
     """
-    stats = trace.shard_stats
-    if not stats:
-        return f"backend={trace.kernel_backend} workers={trace.worker_count}"
-    parts = [
-        f"backend={trace.kernel_backend}",
-        f"workers={stats.get('workers', trace.worker_count)}",
-        f"inner={stats.get('inner_backend', '?')}",
-        f"mode={stats.get('mode', '?')}",
-    ]
-    if "n_components" in stats:
-        parts.append(f"components={stats['n_components']}")
-        shard_targets = stats.get("shard_targets") or []
-        parts.append(
-            "shards=" + "/".join(str(s) for s in shard_targets if s)
-            if any(shard_targets)
-            else "shards=-"
-        )
-    if stats.get("mode") == "wavefront":
-        parts.append(
-            f"rejects={stats.get('speculation_rejects', 0)}/{stats.get('commits', 0)}"
-        )
-    if stats.get("escaped_targets"):
-        parts.append(f"escaped={stats['escaped_targets']}")
-    if stats.get("sequential_rerun"):
-        parts.append("sequential-rerun")
-    return " ".join(parts)
+    text = f"backend={trace.kernel_backend} workers={trace.worker_count}"
+    if trace.parallel_regions:
+        text += f" parallel-regions={trace.parallel_regions}"
+    return text
 
 
 def feasibility_summary(trace) -> str:

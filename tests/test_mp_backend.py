@@ -3,8 +3,8 @@ integration, kernel delegation and the intra-region point-parallel path.
 
 End-to-end equality against the reference is covered by
 ``tests/test_kernels.py`` (the backend registers itself into the
-parametrized equivalence suite) and ``tests/test_shard_properties.py``;
-this module covers the backend's own machinery.
+parametrized equivalence suite); this module covers the backend's own
+machinery.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class TestConfiguration:
             MultiprocessKernelBackend(workers=-1)
         with pytest.raises(ValueError, match="workers"):
             MultiprocessKernelBackend(workers=0)
-        with pytest.raises(ValueError, match="strategy"):
-            MultiprocessKernelBackend(strategy="magic")
         with pytest.raises(ValueError, match="sequential"):
             MultiprocessKernelBackend(inner="multiprocess")
 
@@ -156,18 +154,24 @@ def _pending_region():
     return region, target
 
 
-def _forced_parallel_fop(region, target, make_shifter):
-    """FOP on a 2-worker backend whose thresholds farm out every region."""
-    from repro.perf.counters import TargetCellWork
-
-    backend = MultiprocessKernelBackend(workers=2)
+def _forced_backend(workers=2):
+    """A backend whose thresholds farm out every original-shifter region."""
+    backend = MultiprocessKernelBackend(workers=workers)
     backend.POINT_PARALLEL_MIN_POINTS = 1
     backend.POINT_PARALLEL_MIN_WORK = 1
+    return backend
+
+
+def _forced_parallel_fop(region, target, make_shifter, workers=2):
+    """FOP on a backend whose thresholds farm out every region."""
+    from repro.perf.counters import TargetCellWork
+
+    backend = _forced_backend(workers)
     try:
         work = TargetCellWork(cell_index=target.index)
         config = FOPConfig(shifter=make_shifter(backend), backend=backend)
         result = find_optimal_position(region, target, config, work)
-        return result, work, backend._point_parallel_regions
+        return result, work, backend.parallel_regions
     finally:
         backend.close()
 
@@ -229,33 +233,67 @@ class TestPointParallel:
         class FakeRegion:
             local_cells = list(range(300))
 
+        original = FOPConfig(shifter=OriginalShifter())
         points = list(range(backend.POINT_PARALLEL_MIN_POINTS))
-        assert backend.should_parallelize_fop(FakeRegion(), points)
-        assert not backend.should_parallelize_fop(FakeRegion(), points[:-1])
+        assert backend.should_parallelize_fop(FakeRegion(), points, original)
+        assert not backend.should_parallelize_fop(FakeRegion(), points[:-1], original)
         solo = MultiprocessKernelBackend(workers=1)
-        assert not solo.should_parallelize_fop(FakeRegion(), points)
+        assert not solo.should_parallelize_fop(FakeRegion(), points, original)
+        # Only the original shifter is farmed out, whatever the size.
+        sacs = FOPConfig(shifter=SortAheadShifter(backend="python"))
+        assert not backend.should_parallelize_fop(FakeRegion(), points, sacs)
+
+    def test_workers_do_not_change_results(self):
+        """Forced point-parallel FOP is worker-count independent."""
+        region, target = _pending_region()
+        runs = [
+            _forced_parallel_fop(region, target, lambda backend: OriginalShifter(), workers)
+            for workers in (2, 5)
+        ]
+        assert [parallel_regions for _, _, parallel_regions in runs] == [1, 1]
+        (small, small_work, _), (large, large_work, _) = runs
+        assert (small.feasible, small.bottom_row, small.x, small.cost) == (
+            large.feasible, large.bottom_row, large.x, large.cost
+        )
+        assert small.insertion == large.insertion
+        assert small_work.insertion_points == large_work.insertion_points
+
+    def test_forced_legalization_matches_oracle_and_reports_workers(self):
+        """A whole run with every region farmed out equals the oracle,
+        placements and work records included, and its trace reports the
+        pool size and the farmed-out region count."""
+        from repro.mgl.legalizer import MGLLegalizer
+        from repro.testing import small_design
+
+        reference = small_design(num_cells=80, density=0.7, seed=4)
+        ref_result = MGLLegalizer(backend="python").legalize(reference)
+        layout = small_design(num_cells=80, density=0.7, seed=4)
+        with _forced_backend(workers=2) as backend:
+            result = MGLLegalizer(backend=backend).legalize(layout)
+        assert [(c.x, c.y, c.legalized) for c in layout.cells] == [
+            (c.x, c.y, c.legalized) for c in reference.cells
+        ]
+        assert result.failed_cells == ref_result.failed_cells
+        assert [t.insertion_points for t in result.trace.targets] == [
+            t.insertion_points for t in ref_result.trace.targets
+        ]
+        assert result.trace.parallel_regions > 0
+        assert result.trace.worker_count == 2
+        assert ref_result.trace.parallel_regions == 0
+        assert ref_result.trace.worker_count == 1
 
 
 class TestTraceReporting:
     def test_shard_summary_formats_stats(self):
         from repro.perf.counters import LegalizationTrace
 
-        trace = LegalizationTrace(kernel_backend="multiprocess", worker_count=4)
-        assert "workers=4" in shard_summary(trace)
-        trace.shard_stats = {
-            "workers": 4,
-            "inner_backend": "numpy",
-            "mode": "wavefront",
-            "speculation_rejects": 3,
-            "commits": 50,
-            "n_components": 2,
-            "shard_targets": [30, 20],
-            "escaped_targets": 0,
-            "sequential_rerun": False,
-        }
-        text = shard_summary(trace)
-        assert "mode=wavefront" in text
-        assert "rejects=3/50" in text
-        assert "shards=30/20" in text
+        trace = LegalizationTrace(kernel_backend="multiprocess")
+        assert shard_summary(trace) == "backend=multiprocess workers=1"
+        trace = LegalizationTrace(
+            kernel_backend="multiprocess", worker_count=4, parallel_regions=17
+        )
+        assert shard_summary(trace) == (
+            "backend=multiprocess workers=4 parallel-regions=17"
+        )
         plain = LegalizationTrace()
         assert shard_summary(plain) == "backend=python workers=1"

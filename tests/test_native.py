@@ -192,6 +192,55 @@ def test_native_keeps_the_epsilon_guard_on_repeated_pushes(side, fwd_bwd):
 
 
 @needs_native
+@pytest.mark.parametrize("fwd_bwd", [False, True])
+def test_native_clamps_a_sub_epsilon_empty_interval(fwd_bwd, monkeypatch):
+    """A gap narrower than the target by less than the epsilon.
+
+    The right neighbour is wider than the free space by 5e-10, so the
+    shifted interval ends just below where it starts: ``hi < lo`` within
+    the epsilon, which minimize clamps to ``hi = lo``.  Feasibility must
+    accept the sub-epsilon overlap, and the point must score on the one
+    site in the gap.
+    """
+    from repro.mgl import curves
+
+    intervals = []
+    for name in ("minimize_curves", "minimize_curves_fwd_bwd"):
+        def spy(pieces, constant, lo, hi, *, _real=getattr(curves, name), **kw):
+            intervals.append((lo, hi))
+            return _real(pieces, constant, lo, hi, **kw)
+
+        monkeypatch.setattr(curves, name, spy)
+    tiny = 5e-10
+    cells = [(0.0, 3.0, 1, 0, 0.0), (6.0 - tiny, 4.0 + tiny, 1, 0, 6.0)]
+    target = Cell(index=0, width=3.0, height=1, gp_x=3.0, gp_y=0.0)
+    region = _packed_region(cells, target, n_rows=1, seg=(0.0, 10.0))
+    assert assert_matches_reference(region, target, fwd_bwd) > 0
+    assert any(lo - 1e-9 <= hi < lo for lo, hi in intervals)
+
+
+@needs_native
+@pytest.mark.parametrize("fwd_bwd", [False, True])
+def test_native_keeps_the_first_of_two_equally_distant_minima(fwd_bwd):
+    """Two minima with equal cost at equal distance from the target's x.
+
+    Both neighbours of each row touch the target at its global x, and
+    each sits 2 sites from its own global x on the side the target
+    pushes it toward.  The summed curve peaks at the target's x and has
+    equal minima 2 sites to either side; ``_pick_best`` replaces the
+    best candidate only when a tie is strictly closer, so the left
+    minimum, found first, must win.
+    """
+    cells = [(17.0, 3.0, 1, 0, 15.0), (17.0, 3.0, 1, 1, 15.0),
+             (22.0, 3.0, 1, 0, 24.0), (22.0, 3.0, 1, 1, 24.0)]
+    target = Cell(index=0, width=2.0, height=2, gp_x=20.0, gp_y=0.0)
+    region = _packed_region(cells, target)
+    assert assert_matches_reference(region, target, fwd_bwd) > 0
+    _, reference = reference_entries(region, target, fwd_bwd)
+    assert 18.0 in [best_x for _, best_x, _, _, _ in reference]
+
+
+@needs_native
 @pytest.mark.parametrize("case", sorted(REGION_CASES))
 def test_fop_winner_outcome_matches_reference(case):
     """FOP re-derives the winner's shift outcome after a fused scoring."""

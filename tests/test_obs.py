@@ -26,7 +26,7 @@ import pytest
 import repro.obs as obs
 from repro.designio import layout_fingerprint
 from repro.incremental import IncrementalLegalizer
-from repro.kernels import MultiprocessKernelBackend, available_backends
+from repro.kernels import available_backends
 from repro.mgl.legalizer import MGLLegalizer
 from repro.obs.metrics import (
     REGISTRY,
@@ -37,7 +37,7 @@ from repro.obs.metrics import (
 )
 from repro.perf.report import span_timeline
 from repro.testing import small_design
-from tests.test_shared_pool import spread_layout
+from tests.test_shared_pool import forced_backend, spread_layout
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -332,17 +332,15 @@ class TestInstrumentedRuns:
                 if h["name"] == "repro_worker_task_seconds"
             )
 
-        def dispatches(snap):
+        def point_regions(snap):
             return sum(
                 c["value"]
                 for c in snap["counters"]
-                if c["name"] == "repro_mp_dispatches_total"
+                if c["name"] == "repro_mp_point_regions_total"
             )
 
         before = REGISTRY.snapshot()
-        backend = MultiprocessKernelBackend(
-            workers=workers, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend(workers)
         try:
             result = MGLLegalizer(backend=backend).legalize(spread_layout())
             assert result.success
@@ -352,7 +350,7 @@ class TestInstrumentedRuns:
         assert task_seconds_count(after) > task_seconds_count(before), (
             f"worker telemetry did not merge back at {workers} workers"
         )
-        assert dispatches(after) >= dispatches(before) + 1
+        assert point_regions(after) >= point_regions(before) + 1
 
     def test_disabled_span_overhead_under_two_percent(self):
         """The permanent-instrumentation budget on a dense bench design."""

@@ -68,6 +68,35 @@ def test_flex_always_produces_legal_placements(params):
     assert result.modeled_runtime_seconds >= result.timeline.fpga_busy * 0.999
 
 
+#: Designs on which the default FlexLegalizer leaves one tall cell
+#: unplaced.  The sliding-window ordering schedules the cell so late that
+#: no window retry finds a feasible insertion point, and the whole-chip
+#: fallback accepts only a completely free slot.  Pinned here so the bug
+#: does not depend on hypothesis drawing these designs; a fix turns
+#: them into strict-xfail failures (XPASS), and the marker must go.
+KNOWN_TALL_CELL_FAILURES = [
+    {"num_cells": 30, "density": 0.8125, "seed": 30, "tall_mix": True},
+    {"num_cells": 83, "density": 0.8125, "seed": 416, "tall_mix": True},
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: a tall cell ordered late by the sliding window finds "
+    "no insertion point and no completely free fallback slot",
+)
+@pytest.mark.parametrize(
+    "params", KNOWN_TALL_CELL_FAILURES, ids=lambda p: f"cells{p['num_cells']}-seed{p['seed']}"
+)
+def test_flex_legalizes_known_tall_cell_designs(params):
+    layout = build(params)
+    result = FlexLegalizer().legalize(layout)
+    report = LegalityChecker().check(layout)
+    assert report.legal, f"{params}: {report.summary()}"
+    assert result.legalization.success
+
+
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(design_strategy)
 def test_flex_quality_tracks_mgl(params):

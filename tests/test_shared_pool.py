@@ -1,13 +1,13 @@
-"""Persistent-pool lifecycle and shared-memory sync tests.
+"""Persistent-pool lifecycle tests.
 
 The multiprocess backend keeps one worker pool per backend lifetime and
-publishes cell state through :mod:`repro.kernels.shm` instead of
-pickling layouts.  This module covers the machinery the equivalence
-suites exercise only implicitly: pool reuse across runs (fork exactly
-once), teardown (no live children after ``close()``, after dropping the
-backend, or after a worker task raises), the legalizer-level lifecycle
-hooks, and the store/mirror round-trip in both shared-memory and
-snapshot modes.
+chunks heavy regions' insertion points across it.  This module covers
+the machinery the equivalence suites exercise only implicitly: pool
+reuse across runs (fork exactly once), teardown (no live children after
+``close()``, after dropping the backend, or after a worker task raises),
+and the legalizer-level lifecycle hooks.  Every backend here has its
+point-parallel thresholds forced down, so each original-shifter region
+runs on the pool.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 
 from repro.geometry import Cell, Layout
 from repro.kernels import MultiprocessKernelBackend
-from repro.kernels.shm import SharedCellStore, WorkerLayoutMirror
 from repro.mgl.legalizer import MGLLegalizer
 
 needs_fork = pytest.mark.skipif(
@@ -29,7 +28,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def spread_layout() -> Layout:
-    """Six well-separated clusters: shards statically at 2+ workers."""
+    """Six well-separated clusters of eight single-row cells."""
     layout = Layout(12, 2000, name="spread")
     index = 0
     for cluster in range(6):
@@ -49,6 +48,14 @@ def spread_layout() -> Layout:
     return layout
 
 
+def forced_backend(workers: int = 2) -> MultiprocessKernelBackend:
+    """A backend whose thresholds farm out every original-shifter region."""
+    backend = MultiprocessKernelBackend(workers=workers)
+    backend.POINT_PARALLEL_MIN_POINTS = 1
+    backend.POINT_PARALLEL_MIN_WORK = 1
+    return backend
+
+
 def reference_placements():
     layout = spread_layout()
     MGLLegalizer(backend="python").legalize(layout)
@@ -61,8 +68,8 @@ def placements(layout: Layout):
 
 def pool_procs(backend):
     """The live worker processes of a backend's current pool."""
-    assert backend._pool is not None and backend._pool.workers
-    return [w.process for w in backend._pool.workers]
+    assert backend._pool
+    return [w.process for w in backend._pool]
 
 
 def assert_reaped(procs):
@@ -76,46 +83,40 @@ def assert_reaped(procs):
 class TestPoolLifecycle:
     def test_pool_persists_across_runs(self):
         """Two consecutive legalize calls fork exactly once (same pids)."""
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         legalizer = MGLLegalizer(backend=backend)
         oracle = reference_placements()
         try:
             first = spread_layout()
             result = legalizer.legalize(first)
-            assert result.trace.shard_stats["mode"] == "static"
+            assert result.trace.parallel_regions > 0
             assert placements(first) == oracle
             assert backend.workers_spawned == 2
-            pids_first = sorted(w.process.pid for w in backend._pool.workers)
+            pids_first = sorted(p.pid for p in pool_procs(backend))
 
             second = spread_layout()
             legalizer.legalize(second)
             assert placements(second) == oracle
             # The same worker processes served both runs.
             assert backend.workers_spawned == 2
-            pids_second = sorted(w.process.pid for w in backend._pool.workers)
+            pids_second = sorted(p.pid for p in pool_procs(backend))
             assert pids_first == pids_second
         finally:
             backend.close()
 
     def test_close_reaps_workers_and_is_idempotent(self):
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         MGLLegalizer(backend=backend).legalize(spread_layout())
-        workers = list(backend._pool.workers)
-        assert workers and all(w.process.is_alive() for w in workers)
+        procs = pool_procs(backend)
+        assert all(p.is_alive() for p in procs)
         backend.close()
         assert backend._pool is None
-        assert_reaped([w.process for w in workers])
+        assert_reaped(procs)
         backend.close()  # idempotent
 
     def test_close_is_not_terminal(self):
         """A closed backend lazily re-forks on the next run."""
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         oracle = reference_placements()
         try:
             MGLLegalizer(backend=backend).legalize(spread_layout())
@@ -128,9 +129,7 @@ class TestPoolLifecycle:
             backend.close()
 
     def test_context_manager_closes_pool(self):
-        with MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        ) as backend:
+        with forced_backend() as backend:
             MGLLegalizer(backend=backend).legalize(spread_layout())
             procs = pool_procs(backend)
         assert backend._pool is None
@@ -138,9 +137,7 @@ class TestPoolLifecycle:
 
     def test_dropped_backend_reaps_workers(self):
         """Garbage-collecting an unclosed backend must not leak workers."""
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         MGLLegalizer(backend=backend).legalize(spread_layout())
         procs = pool_procs(backend)
         assert all(p.is_alive() for p in procs)
@@ -148,28 +145,26 @@ class TestPoolLifecycle:
         gc.collect()
         assert_reaped(procs)
 
-    def test_worker_task_error_tears_down_pool(self):
+    def test_worker_task_error_tears_down_pool(self, monkeypatch):
         """A worker-side exception surfaces in the parent and reaps the pool."""
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
-        state = backend._ensure_pool()
+        from repro.kernels import mp_backend
+
+        def broken_chunk(payload):
+            raise ValueError("injected point-chunk failure")
+
+        # Patched before the fork, so only the workers' chunks fail; the
+        # parent scores its own chunk in-process.
+        monkeypatch.setattr(mp_backend, "_evaluate_points", broken_chunk)
+        backend = forced_backend()
+        backend._ensure_pool()
         procs = pool_procs(backend)
-        worker = state.workers[0]
-        worker.conn.send(("no-such-task-kind", None, None))
-        with pytest.raises(Exception, match="no-such-task-kind"):
-            try:
-                backend._recv_reply(worker)
-            except Exception:
-                backend.close()
-                raise
+        with pytest.raises(RuntimeError, match="injected point-chunk failure"):
+            MGLLegalizer(backend=backend).legalize(spread_layout())
         assert backend._pool is None
         assert_reaped(procs)
 
     def test_legalizer_close_hands_through_to_backend(self):
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         legalizer = MGLLegalizer(backend=backend)
         legalizer.legalize(spread_layout())
         procs = pool_procs(backend)
@@ -178,9 +173,7 @@ class TestPoolLifecycle:
         assert_reaped(procs)
 
     def test_legalizer_context_manager(self):
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         with MGLLegalizer(backend=backend) as legalizer:
             legalizer.legalize(spread_layout())
             procs = pool_procs(backend)
@@ -190,9 +183,7 @@ class TestPoolLifecycle:
     def test_incremental_engine_close(self):
         from repro.incremental.engine import IncrementalLegalizer
 
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         with IncrementalLegalizer(backend=backend) as engine:
             engine.begin(spread_layout())
             procs = pool_procs(backend)
@@ -219,145 +210,11 @@ class TestPoolLifecycle:
             pass
 
 
-class TestStoreMirrorRoundTrip:
-    @staticmethod
-    def build_layout(n: int = 10, name: str = "sync") -> Layout:
-        layout = Layout(6, 400, name=name)
-        for i in range(n):
-            fixed = i % 4 == 3
-            layout.add_cell(
-                Cell(
-                    index=i,
-                    width=3.0 + (i % 3),
-                    height=1 + (i % 2),
-                    gp_x=7.3 * i + 0.125,
-                    gp_y=float(i % 5),
-                    x=float(4 * i),
-                    y=float(i % 5),
-                    fixed=fixed,
-                    legalized=i % 2 == 0 or fixed,
-                    name=f"n{i}",
-                )
-            )
-        layout.rebuild_index()
-        return layout
-
-    @staticmethod
-    def assert_mirror_matches(mirror: WorkerLayoutMirror, layout: Layout):
-        assert len(mirror.layout.cells) == len(layout.cells)
-        for mine, theirs in zip(mirror.layout.cells, layout.cells):
-            assert (
-                mine.index, mine.name, mine.x, mine.y, mine.gp_x, mine.gp_y,
-                mine.width, mine.height, mine.fixed, mine.legalized,
-            ) == (
-                theirs.index, theirs.name, theirs.x, theirs.y, theirs.gp_x,
-                theirs.gp_y, theirs.width, theirs.height, theirs.fixed,
-                theirs.legalized,
-            )
-        index_of = lambda l: [  # noqa: E731 - local shorthand
-            [(c.index, c.x) for c in l.obstacles_in_row(row)]
-            for row in range(l.num_rows)
-        ]
-        assert index_of(mirror.layout) == index_of(layout)
-
-    @pytest.mark.parametrize("use_shared_memory", [True, False])
-    def test_publish_sync_refresh_roundtrip(self, use_shared_memory):
-        if use_shared_memory:
-            pytest.importorskip("numpy")
-        store = SharedCellStore(use_shared_memory)
-        mirror = WorkerLayoutMirror()
-        try:
-            layout = self.build_layout()
-            store.publish(layout)
-            mirror.apply_sync(store.build_sync(mirror))
-            self.assert_mirror_matches(mirror, layout)
-
-            # Mutate the mirror (as a shard task would), then refresh: the
-            # mirror must reset exactly to the published state.
-            cell = mirror.layout.cells[1]
-            mirror.layout.mark_legalized(cell, 100.0, 2.0)
-            mirror.stale = True
-            mirror.refresh()
-            self.assert_mirror_matches(mirror, layout)
-
-            # Republish after parent-side movement: epoch bumps, same design.
-            target = next(c for c in layout.cells if not c.fixed)
-            layout.mark_legalized(target, target.x + 8.0, target.y)
-            store.publish(layout)
-            sync = store.build_sync(mirror)
-            assert "design" not in sync and "names" not in sync
-            mirror.apply_sync(sync)
-            self.assert_mirror_matches(mirror, layout)
-
-            # ECO growth: appended cells travel as a names tail only.
-            base = len(layout.cells)
-            for j in range(5):
-                layout.add_cell(
-                    Cell(
-                        index=base + j, width=2.0, height=1,
-                        gp_x=50.0 + 3 * j, gp_y=1.0, name=f"eco{j}",
-                    )
-                )
-            layout.rebuild_index()
-            store.publish(layout)
-            sync = store.build_sync(mirror)
-            assert "design" not in sync
-            if use_shared_memory:
-                assert tuple(sync.get("names", ())) == tuple(
-                    f"eco{j}" for j in range(5)
-                )
-            mirror.apply_sync(sync)
-            self.assert_mirror_matches(mirror, layout)
-        finally:
-            mirror.close()
-            store.close()
-
-    @pytest.mark.parametrize("use_shared_memory", [True, False])
-    def test_design_identity_change_rebuilds_mirror(self, use_shared_memory):
-        if use_shared_memory:
-            pytest.importorskip("numpy")
-        store = SharedCellStore(use_shared_memory)
-        mirror = WorkerLayoutMirror()
-        try:
-            store.publish(self.build_layout(10, name="first"))
-            mirror.apply_sync(store.build_sync(mirror))
-
-            other = self.build_layout(6, name="second")
-            store.publish(other)
-            sync = store.build_sync(mirror)
-            assert "design" in sync  # new layout object => full design sync
-            mirror.apply_sync(sync)
-            assert mirror.layout.name == "second"
-            self.assert_mirror_matches(mirror, other)
-        finally:
-            mirror.close()
-            store.close()
-
-    def test_sync_is_incremental_when_up_to_date(self):
-        pytest.importorskip("numpy")
-        store = SharedCellStore(True)
-        mirror = WorkerLayoutMirror()
-        try:
-            layout = self.build_layout()
-            store.publish(layout)
-            mirror.apply_sync(store.build_sync(mirror))
-            store.publish(layout)
-            sync = store.build_sync(mirror)
-            # Same design, same segment, same size: the catch-up carries
-            # nothing but the epoch/revision stamps.
-            assert set(sync) == {"epoch", "design_rev", "n_cells"}
-        finally:
-            mirror.close()
-            store.close()
-
-
 @needs_fork
 class TestSubsetRunsOnPool:
     def test_legalize_subset_reuses_pool(self):
         """ECO-style subset calls ride the same persistent pool."""
-        backend = MultiprocessKernelBackend(
-            workers=2, strategy="static", min_parallel_targets=2
-        )
+        backend = forced_backend()
         try:
             layout = spread_layout()
             legalizer = MGLLegalizer(backend=backend)
@@ -374,7 +231,8 @@ class TestSubsetRunsOnPool:
             dirty = [c for c in layout.cells if c.index in (0, 40)]
             for cell in dirty:
                 layout.unlegalize_cell(cell)
-            legalizer.legalize_subset(layout, dirty)
+            result = legalizer.legalize_subset(layout, dirty)
+            assert result.trace.parallel_regions > 0
             assert placements(layout) == placements(reference)
             assert backend.workers_spawned == spawned  # no re-fork
         finally:
