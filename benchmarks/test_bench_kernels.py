@@ -7,9 +7,11 @@ against the plain size ordering — the design choices DESIGN.md calls out.
 
 The ``test_bench_backend_*`` cases additionally compare the registered
 kernel backends (:mod:`repro.kernels`) on identical inputs: the SACS
-chains, the curve pipeline, full FOP, and an end-to-end legalization of
-an ICCAD-2017-like design.  Backends are bit-for-bit equivalent (the
-cases assert it), so the timing delta is the whole story; run e.g.::
+chains, full FOP, and an end-to-end legalization of an ICCAD-2017-like
+design.  Every backend runs the reference curve pipeline, which
+``test_bench_curve_pipeline_*`` times once per organisation.  Backends
+are bit-for-bit equivalent (the cases assert it), so the timing delta is
+the whole story; run e.g.::
 
     REPRO_BENCH_SCALE=0.008 pytest benchmarks -k backend --benchmark-only
 """
@@ -138,8 +140,8 @@ def test_bench_fop_single_target(benchmark, shifting_case):
 
 
 # ----------------------------------------------------------------------
-# Kernel-backend comparisons (python reference vs vectorized numpy vs
-# multiprocess point chunking)
+# Kernel-backend comparisons (python reference vs the numpy backend's
+# fused native kernel vs multiprocess point chunking)
 # ----------------------------------------------------------------------
 #: Always the live registry — never hard-code backend names here, or new
 #: backends silently stop being benched and equivalence-checked.
@@ -154,7 +156,7 @@ def test_bench_parametrization_tracks_registry():
 
 
 def _dense_region(num_cells=700, density=0.8, seed=11, target_height=2):
-    """A large, dense localRegion — the regime the vectorized kernels target."""
+    """A large, dense localRegion — the regime the fast kernels target."""
     return _obstacle_region(
         num_cells=num_cells, density=density, seed=seed, target_height=target_height
     )
@@ -177,42 +179,6 @@ def test_bench_backend_sacs_chains(benchmark, dense_shifting_case, backend_name)
 
     outcomes = benchmark(run)
     assert any(o.feasible for o in outcomes)
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_bench_backend_curve_pipeline(benchmark, dense_shifting_case, backend_name):
-    """Curve construction + minimization over feasible points, per backend."""
-    _, target, region, points = dense_shifting_case
-    backend = get_kernel_backend(backend_name)
-    reference = get_kernel_backend("python")
-    context = reference.build_sacs_context(region)
-    cases = []
-    for p in points:
-        outcome = reference.shift_sacs(region, target, p, context)
-        if outcome.feasible:
-            cases.append((p, outcome))
-
-    def run():
-        out = []
-        for p, outcome in cases:
-            curves = backend.build_curves(region, target, p.bottom_row, outcome, 10.0)
-            out.append(
-                backend.minimize(
-                    curves, outcome.xt_lo, outcome.xt_hi,
-                    preferred_x=target.gp_x, fwd_bwd=True,
-                )
-            )
-        return out
-
-    results = benchmark(run)
-    reference_results = [
-        reference.minimize(
-            reference.build_curves(region, target, p.bottom_row, o, 10.0),
-            o.xt_lo, o.xt_hi, preferred_x=target.gp_x, fwd_bwd=True,
-        )
-        for p, o in cases
-    ]
-    assert results == reference_results  # backends must agree bit for bit
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -243,7 +209,8 @@ def test_bench_backend_iccad_legalization(benchmark, backend_name):
     """End-to-end FLEX legalization of an ICCAD-2017-like design per backend.
 
     Uses 4x the harness scale so the regions are large enough for the
-    vectorized regime while staying tractable for the python reference.
+    fast kernels to matter while staying tractable for the python
+    reference.
     """
     layout = iccad2017_design(
         "des_perf_1", scale=min(4 * BENCH_SCALE, 0.01), seed=BENCH_SEED

@@ -23,8 +23,9 @@ contribution:
 ``repro.kernels``
     Pluggable kernel backends for the numeric hot paths (curve
     construction/minimization, SACS chains): the pure-Python reference
-    oracle and a bit-for-bit NumPy-vectorized backend, selected via
-    ``FlexConfig.kernel_backend`` / ``MGLLegalizer(backend=...)``.
+    oracle and a bit-for-bit fused native (C) scorer of SACS regions,
+    selected via ``FlexConfig.kernel_backend`` /
+    ``MGLLegalizer(backend=...)``.
 ``repro.testing``
     Importable helpers shared by the ``tests/`` and ``benchmarks/``
     suites (layout builders, benchmark constants).

@@ -70,9 +70,9 @@ class FlexConfig:
     kernel_backend: str = "python"
     """Kernel backend executing the host-side numeric hot paths (curve
     construction/minimization and SACS chains): a name registered in
-    :mod:`repro.kernels` (``"python"`` reference, vectorized ``"numpy"``,
-    or process-parallel ``"multiprocess"`` / ``"multiprocess:N"`` with a
-    pinned worker count).  Backends are bit-for-bit equivalent, so this
+    :mod:`repro.kernels` (``"python"`` reference, ``"numpy"`` with the
+    fused native SACS kernel, or process-parallel ``"multiprocess"`` /
+    ``"multiprocess:N"`` with a pinned worker count).  Backends are bit-for-bit equivalent, so this
     only changes measured wall time, never results or recorded work."""
 
     ordering_window_size: int = 8

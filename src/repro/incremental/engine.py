@@ -54,7 +54,7 @@ from repro.incremental.deltas import (
     SetFixed,
 )
 from repro.kernels import BackendSpec
-from repro.mgl.legalizer import LegalizationResult, MGLLegalizer
+from repro.mgl.legalizer import LegalizationResult, MGLLegalizer, fast_mgl_legalizer
 from repro.obs import event as obs_event
 from repro.obs import metrics as obs_metrics
 from repro.obs import span
@@ -436,7 +436,10 @@ class IncrementalLegalizer:
     legalizer:
         The wrapped :class:`~repro.mgl.legalizer.MGLLegalizer` (or a
         compatible object exposing ``legalize`` / ``legalize_subset``).
-        Defaults to an ``MGLLegalizer`` with default parameters.
+        Defaults to :func:`~repro.mgl.legalizer.fast_mgl_legalizer` (SACS
+        shifting plus the fwd/bwd curve pipeline), the host configuration
+        the CLI and the ECO experiments run; it places every cell exactly
+        where the original shifter and the five-stage pipeline do.
     backend:
         Convenience kernel-backend override applied to the legalizer
         (any :mod:`repro.kernels` spec, e.g. ``"numpy"`` or
@@ -507,7 +510,7 @@ class IncrementalLegalizer:
         track_fragmentation: Optional[bool] = None,
     ) -> None:
         if legalizer is None:
-            legalizer = MGLLegalizer(backend=backend)
+            legalizer = fast_mgl_legalizer(backend)
         elif backend is not None:
             legalizer = legalizer.with_backend(backend)
         if not 0.0 <= full_threshold <= 1.0:
@@ -882,11 +885,13 @@ def reference_relegalize(
     every index and summary is rebuilt from scratch and the plain *full*
     legalizer runs on the post-delta layout — whose pending set is
     exactly the dirty set, so this is "the full legalizer with the same
-    ordering restricted to the dirty set".  The returned layout must
-    match the engine's persistent layout bit for bit.
+    ordering restricted to the dirty set".  The legalizer defaults to
+    the engine's own default, :func:`~repro.mgl.legalizer.fast_mgl_legalizer`.
+    The returned layout must match the engine's persistent layout bit
+    for bit.
     """
     if legalizer is None:
-        legalizer = MGLLegalizer(backend=backend)
+        legalizer = fast_mgl_legalizer(backend)
     elif backend is not None:
         legalizer = legalizer.with_backend(backend)
     layout = base_layout.copy()

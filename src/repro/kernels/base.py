@@ -17,12 +17,14 @@ the paths FLEX offloads to the FPGA and that dominate CPU runtime:
   evaluation (:meth:`KernelBackend.build_sacs_context` /
   :meth:`KernelBackend.shift_sacs`).
 
-The curve-set value returned by :meth:`build_curves` is *opaque*: each
-backend chooses its own representation (the pure-Python backend keeps a
-list of :class:`~repro.mgl.curves.BreakpointPiece`, the NumPy backend
-keeps three flat coordinate/slope arrays) and only that backend's other
-methods consume it.  Callers must therefore run build/minimize/evaluate
-against a single backend instance, which is how FOP uses them.
+The curve-set value returned by :meth:`build_curves` is *opaque*: a
+backend may choose its own representation (the reference keeps a list of
+:class:`~repro.mgl.curves.BreakpointPiece` plus a constant) and only that
+backend's other methods consume it.  Callers must therefore run
+build/minimize/evaluate against a single backend instance, which is how
+FOP uses them.  A backend can also score a whole region in one fused
+step (:meth:`KernelBackend.score_points`); the ``numpy`` backend does so
+for SACS regions and inherits the reference for everything else.
 
 Every backend must be *bit-for-bit equivalent* to the pure-Python
 reference: same optima, same costs, same shift thresholds, same work
@@ -116,7 +118,7 @@ class KernelBackend(ABC):
     # points let a backend evaluate the whole candidate population as one
     # pipeline instead of point by point.  The defaults below delegate to
     # the scalar methods, so results are bit-for-bit identical for every
-    # backend by construction; vectorized backends override them.
+    # backend by construction; a vectorized backend may override them.
 
     def minimize_batch(
         self,

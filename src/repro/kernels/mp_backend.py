@@ -23,9 +23,10 @@ dropped or the interpreter exits.  A task is one pickled ``(region,
 target, params)`` blob plus a point chunk; workers keep no state between
 tasks.
 
-The kernel-level methods (curves, minimization, SACS chains) delegate to
-the inner sequential backend, so ``"multiprocess"`` is also a valid
-drop-in kernel backend for per-region work.
+The staged kernel methods (curves, minimization, SACS chains) are the
+inherited Python reference, and fused region scoring delegates to the
+inner sequential backend, so ``"multiprocess"`` is also a valid drop-in
+kernel backend for per-region work.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import pickle
 import weakref
 from typing import List, Optional, Tuple
 
-from repro.kernels.base import KernelBackend
+from repro.kernels.python_backend import PythonKernelBackend
 from repro.obs import metrics as obs_metrics
 
 #: Environment variable overriding the default worker count (used by the
@@ -228,7 +229,7 @@ def _shutdown_pool(workers: List[_PoolWorkerHandle]) -> None:
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
-class MultiprocessKernelBackend(KernelBackend):
+class MultiprocessKernelBackend(PythonKernelBackend):
     """Chunks heavy FOP regions' insertion points across worker processes.
 
     Parameters
@@ -238,8 +239,9 @@ class MultiprocessKernelBackend(KernelBackend):
         ``min(8, cpu_count)``.  Results never depend on the worker count.
     inner:
         Sequential backend executing the numeric kernels inside each
-        worker (and for all per-region delegation).  Defaults to
-        ``"numpy"`` when available, else ``"python"``.
+        worker and scoring fused regions (:meth:`score_points`) in the
+        parent.  Defaults to ``"numpy"`` when available, else
+        ``"python"``.
 
     The worker pool is **persistent**: forked lazily on first use and
     reused by every subsequent region until :meth:`close` (also invoked
@@ -285,37 +287,11 @@ class MultiprocessKernelBackend(KernelBackend):
         self.parallel_regions = 0
 
     # ------------------------------------------------------------------
-    # Kernel-level delegation (per-region work is sequential)
+    # Kernel-level work: the inherited reference kernels, plus the inner
+    # backend's fused region scoring
     # ------------------------------------------------------------------
-    def build_curves(self, region, target, bottom_row, outcome, vertical_cost_factor):
-        return self.inner.build_curves(
-            region, target, bottom_row, outcome, vertical_cost_factor
-        )
-
-    def minimize(self, curves, lo, hi, *, preferred_x=None, fwd_bwd=False):
-        return self.inner.minimize(
-            curves, lo, hi, preferred_x=preferred_x, fwd_bwd=fwd_bwd
-        )
-
-    def evaluate(self, curves, xs):
-        return self.inner.evaluate(curves, xs)
-
-    def minimize_batch(self, curve_sets, bounds, *, preferred_x=None, fwd_bwd=False):
-        return self.inner.minimize_batch(
-            curve_sets, bounds, preferred_x=preferred_x, fwd_bwd=fwd_bwd
-        )
-
-    def evaluate_batch(self, curve_sets, queries):
-        return self.inner.evaluate_batch(curve_sets, queries)
-
     def score_points(self, region, target, points, config):
         return self.inner.score_points(region, target, points, config)
-
-    def build_sacs_context(self, region):
-        return self.inner.build_sacs_context(region)
-
-    def shift_sacs(self, region, target, insertion, context):
-        return self.inner.shift_sacs(region, target, insertion, context)
 
     # ------------------------------------------------------------------
     # Persistent pool management

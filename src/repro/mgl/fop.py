@@ -329,8 +329,8 @@ def evaluate_point_list(
         staged.append((insertion, outcome, ip_work))
 
     # Stage 2 — curve construction and batched minimization over every
-    # feasible point (one array pipeline on vectorized backends, a plain
-    # loop on the reference).
+    # feasible point (the batch entry points let a backend score the
+    # whole population at once; the reference loops point by point).
     feasible = [entry for entry in staged if entry[1].feasible]
     curve_sets = [
         backend.build_curves(

@@ -410,6 +410,39 @@ class TestIncrementalLegalizer:
         MGLLegalizer(backend="python").legalize(twin)
         assert cell_state(layout) == cell_state(twin)
 
+    def test_default_is_the_fast_host_configuration(self):
+        """Incremental and served sessions default to SACS + fwd/bwd, and
+        that configuration ends an ECO stream exactly where the original
+        shifter does."""
+        from repro.core.sacs import SortAheadShifter
+        from repro.designio import layout_fingerprint
+        from repro.service.session import SessionConfig
+
+        engines = {
+            "default": IncrementalLegalizer(),
+            "served": SessionConfig(backend="numpy").make_engine(),
+        }
+        for engine in engines.values():
+            config = engine.legalizer.fop_config
+            assert isinstance(config.shifter, SortAheadShifter)
+            assert config.use_fwd_bwd_pipeline
+        engines["original"] = IncrementalLegalizer(MGLLegalizer())
+        assert not isinstance(
+            engines["original"].legalizer.fop_config.shifter, SortAheadShifter
+        )
+
+        base = legal_design(num_cells=60, seed=37)
+        stream = generate_eco_stream(base, EcoSpec(churn=0.1, batches=3, seed=41))
+        prints = {"base": layout_fingerprint(base)}
+        for name, engine in engines.items():
+            layout = legal_design(num_cells=60, seed=37)
+            with engine:
+                engine.begin(layout)
+                assert all(r.success for r in engine.replay(stream))
+            prints[name] = layout_fingerprint(layout)
+        assert prints["default"] == prints["served"] == prints["original"]
+        assert prints["default"] != prints["base"]
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match="full_threshold"):
             IncrementalLegalizer(full_threshold=1.5)

@@ -27,7 +27,6 @@ from repro.kernels import (
     resolve_backend,
 )
 from repro.mgl import MGLLegalizer
-from repro.mgl.curves import BreakpointPiece
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.insertion import enumerate_all_insertion_points
 from repro.mgl.local_region import build_local_region
@@ -95,13 +94,6 @@ REGION_CASES = {
     ),
     "dense": dict(num_cells=320, density=0.82, seed=7),
 }
-
-
-def random_pieces(rng: random.Random, n: int):
-    """A synthetic breakpoint-piece population with many exact duplicates."""
-    xs = [round(rng.uniform(0.0, 80.0), 1) for _ in range(n)]
-    slopes = [(-1.0, 1.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 0.0)]
-    return [BreakpointPiece(x, *rng.choice(slopes)) for x in xs]
 
 
 def outcome_key(outcome):
@@ -183,54 +175,6 @@ def test_curves_match_reference_on_regions(backend_name, case, fwd_bwd):
 
 
 @needs_numpy
-@pytest.mark.parametrize("fwd_bwd", [False, True])
-@pytest.mark.parametrize("seed", range(8))
-def test_numpy_minimize_matches_on_random_pieces(seed, fwd_bwd, monkeypatch):
-    """Randomized piece populations, forced through the vectorized path."""
-    import repro.kernels.numpy_backend as numpy_backend
-
-    monkeypatch.setattr(numpy_backend, "_VECTOR_MIN", 1)
-    np = numpy_backend.np
-    rng = random.Random(seed)
-    reference = get_kernel_backend("python")
-    backend = get_kernel_backend("numpy")
-    for n in (1, 2, 3, 7, 20, 120):
-        pieces = random_pieces(rng, n)
-        constant = rng.uniform(-5.0, 5.0)
-        lo = rng.uniform(-10.0, 30.0)
-        hi = lo + rng.uniform(0.0, 60.0)
-        preferred = rng.choice([None, rng.uniform(lo, hi)])
-        curves = numpy_backend.CurveArrays(
-            np.array([p.x for p in pieces]),
-            np.array([p.left_slope for p in pieces]),
-            np.array([p.right_slope for p in pieces]),
-            constant,
-        )
-        ref = reference.minimize(
-            (pieces, constant), lo, hi, preferred_x=preferred, fwd_bwd=fwd_bwd
-        )
-        got = backend.minimize(curves, lo, hi, preferred_x=preferred, fwd_bwd=fwd_bwd)
-        assert got == ref
-        queries = [lo, hi, (lo + hi) / 2, ref.best_x]
-        assert backend.evaluate(curves, queries) == reference.evaluate(
-            (pieces, constant), queries
-        )
-
-
-@needs_numpy
-def test_numpy_minimize_handles_empty_curve_set():
-    import repro.kernels.numpy_backend as numpy_backend
-
-    np = numpy_backend.np
-    empty = numpy_backend.CurveArrays(
-        np.empty(0), np.empty(0), np.empty(0), 1.5
-    )
-    got = get_kernel_backend("numpy").minimize(empty, 0.0, 4.0, preferred_x=2.0)
-    ref = get_kernel_backend("python").minimize(([], 1.5), 0.0, 4.0, preferred_x=2.0)
-    assert got == ref
-
-
-@needs_numpy
 def test_numpy_shift_accepts_reference_context():
     """A caller-owned reference context must be augmented in place, so the
     once-per-region sort report (and every other counter) stays exact."""
@@ -244,47 +188,6 @@ def test_numpy_shift_accepts_reference_context():
         ref = reference.shift_sacs(region, target, point, ref_ctx)
         got = backend.shift_sacs(region, target, point, plain_ctx)
         assert outcome_key(got) == outcome_key(ref)
-
-
-@needs_numpy
-def test_numpy_minimize_rejects_empty_interval():
-    import repro.kernels.numpy_backend as numpy_backend
-
-    np = numpy_backend.np
-    curves = numpy_backend.CurveArrays(
-        np.arange(60.0), np.full(60, -1.0), np.full(60, 1.0), 0.0
-    )
-    with pytest.raises(ValueError, match="empty evaluation interval"):
-        get_kernel_backend("numpy").minimize(curves, 10.0, 9.0)
-
-
-@needs_numpy
-def test_numpy_build_curves_pieces_match_reference(monkeypatch):
-    """Forced-vectorized construction yields the reference pieces in order."""
-    import repro.kernels.numpy_backend as numpy_backend
-
-    monkeypatch.setattr(numpy_backend, "_VECTOR_MIN", 1)
-    region, target = prepared_region(**REGION_CASES["dense"])
-    reference = get_kernel_backend("python")
-    backend = get_kernel_backend("numpy")
-    ctx = reference.build_sacs_context(region)
-    checked = 0
-    for point in enumerate_all_insertion_points(region, target):
-        outcome = reference.shift_sacs(region, target, point, ctx)
-        if not outcome.feasible:
-            continue
-        ref_pieces, ref_const = reference.build_curves(
-            region, target, point.bottom_row, outcome, 10.0
-        )
-        curves = backend.build_curves(region, target, point.bottom_row, outcome, 10.0)
-        assert isinstance(curves, numpy_backend.CurveArrays)
-        pieces, constant = curves.to_pieces()
-        assert pieces == ref_pieces
-        assert constant == ref_const
-        checked += 1
-        if checked >= 40:
-            break
-    assert checked
 
 
 # ----------------------------------------------------------------------
@@ -424,133 +327,6 @@ def test_flex_legalization_identical_across_backends(backend_name):
 # ----------------------------------------------------------------------
 class TestBatchKernels:
     """minimize_batch / evaluate_batch equal the per-point paths bit for bit."""
-
-    def _random_batch(self, rng, k, numpy_backend):
-        np = numpy_backend.np
-        sets, bounds, piece_sets = [], [], []
-        for _ in range(k):
-            n = rng.choice([1, 2, 3, 7, 20, 120, 300])
-            pieces = random_pieces(rng, n)
-            constant = rng.uniform(-5.0, 5.0)
-            lo = rng.uniform(-10.0, 30.0)
-            hi = lo + rng.uniform(0.0, 60.0)
-            sets.append(
-                numpy_backend.CurveArrays(
-                    np.array([p.x for p in pieces]),
-                    np.array([p.left_slope for p in pieces]),
-                    np.array([p.right_slope for p in pieces]),
-                    constant,
-                )
-            )
-            piece_sets.append((pieces, constant))
-            bounds.append((lo, hi))
-        return sets, piece_sets, bounds
-
-    @needs_numpy
-    @pytest.mark.parametrize("fwd_bwd", [False, True])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_numpy_minimize_batch_matches_reference(self, seed, fwd_bwd):
-        import repro.kernels.numpy_backend as numpy_backend
-
-        rng = random.Random(4000 + seed)
-        reference = get_kernel_backend("python")
-        backend = get_kernel_backend("numpy")
-        for trial in range(8):
-            k = rng.randrange(2, 12)
-            sets, piece_sets, bounds = self._random_batch(rng, k, numpy_backend)
-            preferred = rng.choice([None, 12.5])
-            got = backend.minimize_batch(
-                sets, bounds, preferred_x=preferred, fwd_bwd=fwd_bwd
-            )
-            refs = [
-                reference.minimize(ps, lo, hi, preferred_x=preferred, fwd_bwd=fwd_bwd)
-                for ps, (lo, hi) in zip(piece_sets, bounds)
-            ]
-            per_point = [
-                backend.minimize(c, lo, hi, preferred_x=preferred, fwd_bwd=fwd_bwd)
-                for c, (lo, hi) in zip(sets, bounds)
-            ]
-            assert got == refs
-            assert got == per_point
-
-    @needs_numpy
-    def test_numpy_evaluate_batch_matches_reference(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
-        rng = random.Random(77)
-        reference = get_kernel_backend("python")
-        backend = get_kernel_backend("numpy")
-        sets, piece_sets, bounds = self._random_batch(rng, 9, numpy_backend)
-        queries = [
-            sorted({float(math.floor(lo)), float(math.ceil(hi)), (lo + hi) / 2.0})
-            for lo, hi in bounds
-        ]
-        queries[3] = []  # empty query lists must be preserved
-        got = backend.evaluate_batch(sets, queries)
-        refs = [reference.evaluate(ps, q) for ps, q in zip(piece_sets, queries)]
-        assert got == refs
-
-    @needs_numpy
-    def test_numpy_minimize_batch_mixed_scalar_and_vector_sets(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
-        rng = random.Random(5)
-        reference = get_kernel_backend("python")
-        backend = get_kernel_backend("numpy")
-        np = numpy_backend.np
-        pieces = random_pieces(rng, 200)
-        vector = numpy_backend.CurveArrays(
-            np.array([p.x for p in pieces]),
-            np.array([p.left_slope for p in pieces]),
-            np.array([p.right_slope for p in pieces]),
-            1.25,
-        )
-        scalar = (random_pieces(rng, 5), -0.5)
-        empty = numpy_backend.CurveArrays(np.empty(0), np.empty(0), np.empty(0), 2.0)
-        sets = [scalar, vector, empty, vector]
-        bounds = [(0.0, 10.0), (5.0, 40.0), (0.0, 4.0), (1.0, 2.0)]
-        got = backend.minimize_batch(sets, bounds, preferred_x=3.0)
-        for curves, (lo, hi), result in zip(sets, bounds, got):
-            if isinstance(curves, numpy_backend.CurveArrays):
-                ref = reference.minimize(
-                    (curves.to_pieces()[0], curves.constant), lo, hi, preferred_x=3.0
-                )
-            else:
-                ref = reference.minimize(curves, lo, hi, preferred_x=3.0)
-            assert result == ref
-
-    @needs_numpy
-    def test_numpy_minimize_batch_rejects_empty_interval(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
-        np = numpy_backend.np
-        curves = numpy_backend.CurveArrays(
-            np.arange(60.0), np.full(60, -1.0), np.full(60, 1.0), 0.0
-        )
-        with pytest.raises(ValueError, match="empty evaluation interval"):
-            get_kernel_backend("numpy").minimize_batch(
-                [curves, curves], [(0.0, 5.0), (10.0, 9.0)]
-            )
-
-    @needs_numpy
-    def test_numpy_minimize_batch_routes_near_duplicates_to_oracle(self):
-        import repro.kernels.numpy_backend as numpy_backend
-
-        np = numpy_backend.np
-        reference = get_kernel_backend("python")
-        backend = get_kernel_backend("numpy")
-        # One row with a near-coincident (0 < dx <= eps) breakpoint pair.
-        xs = np.array([1.0, 1.0 + 5e-10, 2.0] + list(np.arange(3.0, 60.0)))
-        near = numpy_backend.CurveArrays(
-            xs, np.full(len(xs), -1.0), np.full(len(xs), 1.0), 0.0
-        )
-        clean = numpy_backend.CurveArrays(
-            np.arange(60.0), np.full(60, -1.0), np.full(60, 1.0), 0.5
-        )
-        got = backend.minimize_batch([near, clean], [(0.0, 50.0), (0.0, 50.0)])
-        ref_near = reference.minimize((near.to_pieces()[0], 0.0), 0.0, 50.0)
-        ref_clean = reference.minimize((clean.to_pieces()[0], 0.5), 0.0, 50.0)
-        assert got == [ref_near, ref_clean]
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_default_batch_api_equals_scalar_loop(self, backend_name):

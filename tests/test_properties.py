@@ -97,9 +97,7 @@ def test_flex_legalizes_known_tall_cell_designs(params):
     assert result.legalization.success
 
 
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(design_strategy)
-def test_flex_quality_tracks_mgl(params):
+def assert_flex_quality_tracks_mgl(params):
     layout_a = build(params)
     layout_b = build(params)
     mgl = MGLLegalizer().legalize(layout_a)
@@ -110,6 +108,36 @@ def test_flex_quality_tracks_mgl(params):
     # quality to the same class.  The suite-average relation (FLEX at least
     # as good as MGL on average) is asserted by the Table 1 benchmark.
     assert flex.average_displacement <= mgl.average_displacement * 1.35 + 0.15
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(design_strategy)
+def test_flex_quality_tracks_mgl(params):
+    assert_flex_quality_tracks_mgl(params)
+
+
+#: A design on which the same tall-cell ordering problem costs quality
+#: rather than legality: FLEX reaches AveDis 1.0008 against a bound of
+#: 0.8943, while MGL, and FLEX without the sliding-window ordering, both
+#: reach 0.5513.
+KNOWN_TALL_CELL_QUALITY_FAILURES = [
+    {"num_cells": 30, "density": 0.75, "seed": 653, "tall_mix": True},
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known bug: the sliding-window ordering schedules tall cells late "
+    "enough to double FLEX's AveDis over MGL's",
+)
+@pytest.mark.parametrize(
+    "params",
+    KNOWN_TALL_CELL_QUALITY_FAILURES,
+    ids=lambda p: f"cells{p['num_cells']}-seed{p['seed']}",
+)
+def test_flex_quality_tracks_mgl_on_known_tall_cell_design(params):
+    assert_flex_quality_tracks_mgl(params)
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

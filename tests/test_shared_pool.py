@@ -184,7 +184,9 @@ class TestPoolLifecycle:
         from repro.incremental.engine import IncrementalLegalizer
 
         backend = forced_backend()
-        with IncrementalLegalizer(backend=backend) as engine:
+        # The original shifter (MGLLegalizer's default) is what forks the
+        # pool; SACS regions never leave the parent.
+        with IncrementalLegalizer(MGLLegalizer(backend=backend)) as engine:
             engine.begin(spread_layout())
             procs = pool_procs(backend)
         assert backend._pool is None
