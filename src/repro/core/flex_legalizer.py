@@ -31,7 +31,7 @@ from repro.legality.metrics import PlacementMetrics
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import LegalizationResult, MGLLegalizer, size_descending_order
 from repro.mgl.shifting import OriginalShifter
-from repro.perf.cost_model import CpuCostModel, CpuCostParameters
+from repro.perf.cost_model import CpuCostModel, CpuCostParameters, CpuTimeBreakdown
 from repro.perf.counters import LegalizationTrace
 from repro.perf.timeline import CoExecutionTimeline, TimelineEntry, TimelineResult
 from repro.fpga.link import HostLink
@@ -147,8 +147,9 @@ class FlexLegalizer:
             self.config, trace_used_sacs=trace.shift_algorithm == "sacs"
         )
         fpga = fpga_model.estimate(trace)
-        timeline = self.build_timeline(trace, fpga)
-        cpu_breakdown = self.cpu_model.breakdown(trace).as_dict()
+        breakdown = self.cpu_model.breakdown(trace)
+        timeline = self.build_timeline(trace, fpga, breakdown)
+        cpu_breakdown = breakdown.as_dict()
         resources = self.resource_estimator.estimate(self.config)
         return FlexRunResult(
             legalization=legalization,
@@ -160,12 +161,17 @@ class FlexLegalizer:
         )
 
     # ------------------------------------------------------------------
-    def build_timeline(self, trace: LegalizationTrace, fpga: FpgaEstimate) -> TimelineResult:
-        """Replay the CPU/FPGA co-execution schedule for a recorded run."""
+    def build_timeline(
+        self, trace: LegalizationTrace, fpga: FpgaEstimate, breakdown: CpuTimeBreakdown
+    ) -> TimelineResult:
+        """Replay the CPU/FPGA co-execution schedule for a recorded run.
+
+        ``breakdown`` is the run's :meth:`CpuCostModel.breakdown`; its
+        premove and ordering times form the schedule's serial front.
+        """
         assignment = TaskAssignment(self.config.task_partition)
         summary = assignment.assign_trace(trace)
         host_times = self.cpu_model.per_target_host_times(trace)
-        breakdown = self.cpu_model.breakdown(trace)
         per_target_fpga = fpga.per_target_seconds()
 
         entries: List[TimelineEntry] = []

@@ -11,7 +11,7 @@ regions and whole runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.core.pipeline import PipelineOrganization
 from repro.fpga.sacs_dataflow import SacsCycleModel
@@ -131,6 +131,11 @@ class FopPeModel:
     # ------------------------------------------------------------------
     def insertion_point_cycles(self, work: InsertionPointWork) -> float:
         """Total PE cycles for one insertion point under the organisation."""
+        return self._point_cycles(work)[0]
+
+    def _point_cycles(self, work: InsertionPointWork) -> Tuple[float, Dict[str, float]]:
+        """``(total PE cycles, stage_cycles)`` of one insertion point, with
+        the stage split computed once for callers that need both."""
         p = self.params
         stages = self.stage_cycles(work)
         n_bp = max(1, work.n_breakpoints)
@@ -142,10 +147,10 @@ class FopPeModel:
                 + roundtrip
                 + 6 * p.operation_start_overhead
                 + p.per_ip_control_cycles
-            )
+            ), stages
         # Multi-granularity: cell shift, sort and fwdtraverse stream into
         # each other (fine-grained); bwdtraverse runs after the forward
         # sweep has seen every breakpoint (coarse-grained).
         fwd_chain = p.stream_fill_cycles + max(stages["cell_shift"], float(n_bp)) + 0.5 * n_bp
         bwd_chain = n_m + p.value_fixed_cycles + p.slope_fixed_cycles
-        return fwd_chain + bwd_chain + p.per_ip_control_cycles
+        return fwd_chain + bwd_chain + p.per_ip_control_cycles, stages

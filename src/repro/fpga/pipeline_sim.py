@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.config import FlexConfig
 from repro.core.pipeline import PipelineOrganization
@@ -110,8 +110,14 @@ class FpgaPipelineModel:
     # ------------------------------------------------------------------
     def target_cycles(self, work: TargetCellWork) -> Dict[str, float]:
         """Cycle breakdown of one target cell's FOP execution."""
-        p = self.params
         ip_cycles = [self._pe_model.insertion_point_cycles(ip) for ip in work.insertion_points]
+        return self._target_breakdown(work, ip_cycles)
+
+    def _target_breakdown(
+        self, work: TargetCellWork, ip_cycles: List[float]
+    ) -> Dict[str, float]:
+        """Fold one target's per-insertion-point PE cycles into its breakdown."""
+        p = self.params
         compute = sum(ip_cycles)
         parallelism = max(1, self.config.fop_pe_parallelism)
         if parallelism > 1 and ip_cycles:
@@ -133,14 +139,18 @@ class FpgaPipelineModel:
         """Estimate the FPGA cycles of a whole run."""
         estimate = FpgaEstimate(clock=pe_clock(self.config.fpga_clock_mhz))
         stage_totals: Dict[str, float] = {}
+        point_cycles = self._pe_model._point_cycles
         for work in trace.targets:
-            breakdown = self.target_cycles(work)
+            # One stage split per insertion point feeds both the target's
+            # total and the run's per-stage totals.
+            points = [point_cycles(ip) for ip in work.insertion_points]
+            breakdown = self._target_breakdown(work, [total for total, _ in points])
             estimate.per_target_cycles[work.cell_index] = breakdown["total"]
             estimate.total_cycles += breakdown["total"]
             estimate.presort_cycles += breakdown["presort"]
             estimate.sync_cycles += breakdown["sync"]
-            for ip in work.insertion_points:
-                for stage, cycles in self._pe_model.stage_cycles(ip).items():
+            for _, stages in points:
+                for stage, cycles in stages.items():
                     stage_totals[stage] = stage_totals.get(stage, 0.0) + cycles
         if estimate.presort_cycles:
             stage_totals["presort"] = estimate.presort_cycles

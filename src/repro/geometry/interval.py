@@ -11,6 +11,7 @@ vectorised representation here (the hot loops of the legalizer live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -75,12 +76,15 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
+_lo = attrgetter("lo")
+
+
 def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
     """Merge overlapping or touching intervals into a disjoint sorted list.
 
     Empty intervals are dropped.  The result is sorted by ``lo``.
     """
-    items = sorted((iv for iv in intervals if not iv.empty), key=lambda iv: iv.lo)
+    items = sorted([iv for iv in intervals if iv.hi > iv.lo], key=_lo)
     merged: List[Interval] = []
     for iv in items:
         if merged and iv.lo <= merged[-1].hi:
@@ -99,20 +103,25 @@ def subtract_intervals(base: Interval, holes: Sequence[Interval]) -> List[Interv
     intersect any hole.  Used to carve placement-row segments around fixed
     blockages and partially-covered cells.
     """
-    if base.empty:
+    base_lo, base_hi = base.lo, base.hi
+    if base_hi <= base_lo:
         return []
     free: List[Interval] = []
-    cursor = base.lo
+    cursor = base_lo
     for hole in merge_intervals(holes):
-        clipped = hole.intersect(base)
-        if clipped.empty:
+        # The hole clipped to ``base`` (float pairs: this runs once per
+        # hole of every segment extraction).
+        lo = max(hole.lo, base_lo)
+        hi = min(hole.hi, base_hi)
+        if hi <= lo:
             continue
-        if clipped.lo > cursor:
-            free.append(Interval(cursor, clipped.lo))
-        cursor = max(cursor, clipped.hi)
-    if cursor < base.hi:
-        free.append(Interval(cursor, base.hi))
-    return [iv for iv in free if not iv.empty]
+        if lo > cursor:
+            free.append(Interval(cursor, lo))
+        if hi > cursor:
+            cursor = hi
+    if cursor < base_hi:
+        free.append(Interval(cursor, base_hi))
+    return free
 
 
 def intersect_many(intervals: Sequence[Interval]) -> Optional[Interval]:

@@ -504,47 +504,8 @@ class Layout:
                 yield left, right
 
     # ------------------------------------------------------------------
-    # Window queries
+    # Row geometry
     # ------------------------------------------------------------------
-    def cells_intersecting(
-        self, x_lo: float, x_hi: float, row_lo: int, row_hi: int, *, include_unlegalized: bool = True
-    ) -> List[Cell]:
-        """All cells whose rectangle intersects the given window.
-
-        ``row_hi`` is exclusive.  This scans the full cell list and is only
-        used for density estimation and reporting; the hot path uses the
-        per-row obstacle index instead.
-        """
-        out = []
-        for cell in self.cells:
-            if not include_unlegalized and not (cell.fixed or cell.legalized):
-                continue
-            if cell.x < x_hi and cell.right > x_lo and cell.y < row_hi and cell.top > row_lo:
-                out.append(cell)
-        return out
-
-    def window_density(self, x_lo: float, x_hi: float, row_lo: int, row_hi: int) -> float:
-        """Cell-area density of a window, counting *all* cells.
-
-        Used by the sliding-window processing ordering (paper Sec. 3.1.2):
-        the density of a target cell's localRegion determines its priority
-        among the cells of the sliding window.
-        """
-        x_lo = max(0.0, x_lo)
-        x_hi = min(self.width, x_hi)
-        row_lo = max(0, row_lo)
-        row_hi = min(self.num_rows, row_hi)
-        area = (x_hi - x_lo) * (row_hi - row_lo)
-        if area <= 0:
-            return 0.0
-        occupied = 0.0
-        for cell in self.cells_intersecting(x_lo, x_hi, row_lo, row_hi):
-            dx = min(cell.right, x_hi) - max(cell.x, x_lo)
-            dy = min(cell.top, float(row_hi)) - max(cell.y, float(row_lo))
-            if dx > 0 and dy > 0:
-                occupied += dx * dy
-        return occupied / area
-
     def row_span_interval(self, row: int) -> Interval:
         """Horizontal extent of a row as an interval."""
         return self.rows[row].span

@@ -156,7 +156,6 @@ class LocalRegion:
     target: Cell
     segments: Dict[int, LocalSegment] = field(default_factory=dict)
     local_cells: List[LocalCell] = field(default_factory=list)
-    density: float = 0.0
     # Per-row localCell ordering: row -> list of local_index sorted by x.
     row_cells: Dict[int, List[int]] = field(default_factory=dict)
 
@@ -236,5 +235,5 @@ class LocalRegion:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LocalRegion(target={self.target.name}, rows={len(self.segments)}, "
-            f"localCells={len(self.local_cells)}, density={self.density:.2f})"
+            f"localCells={len(self.local_cells)})"
         )

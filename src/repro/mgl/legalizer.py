@@ -366,7 +366,6 @@ class MGLLegalizer:
             work.n_local_cells = len(region.local_cells)
             work.n_subcells = region.total_subcells()
             work.n_rows = len(region.segments)
-            work.region_density = region.density
             work.region_transfer_words += region_transfer_words(region)
             result = find_optimal_position(region, target, self.fop_config, work)
             if result.feasible:

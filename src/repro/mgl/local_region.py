@@ -6,18 +6,18 @@ cells fully contained in those segments become localCells; everything
 else (fixed blockages and cells that only partially overlap the window)
 is treated as a blockage that clips the segments.
 
-The localRegion's density is also computed here because the FLEX
-processing ordering (paper Sec. 3.1.2) consumes it — keeping steps (b)
-and (c) both on the CPU avoids transferring the density back from the
-FPGA (Sec. 3.1.1).
+FLEX keeps this step on the host and overlaps it with FOP on the FPGA
+(paper Sec. 3.1.1).  The sliding-window processing ordering (Sec. 3.1.2)
+does not read anything computed here: it estimates density from its own
+coarse :class:`~repro.core.ordering.DensityGrid`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.geometry.cell import Cell
-from repro.geometry.interval import Interval, subtract_intervals
+from repro.geometry.interval import Interval, longest_interval, subtract_intervals
 from repro.geometry.layout import Layout
 from repro.geometry.region import LocalRegion, LocalSegment, Window
 
@@ -59,6 +59,8 @@ class RegionBuilder:
     and demotion always rerun on the merged lists — window containment
     changes with the window — so the produced region is identical, cell
     order included, to a from-scratch :func:`build_local_region` call.
+    Within one build each obstacle is classified once, and the demotion
+    fixpoint re-segments only the rows that a demotion touched.
 
     The cache assumes the layout does not change between builds, which
     holds inside one target's retry ladder (nothing commits until the
@@ -120,92 +122,97 @@ class RegionBuilder:
         this build (only newly exposed strips for incremental rebuilds).
         """
         layout, target = self.layout, self.target
+        x_lo, x_hi = window.x_lo, window.x_hi
+        row_lo, row_hi = window.row_lo, window.row_hi
+        window_x = Interval(x_lo, x_hi)
         scanned = 0
-        window_x = Interval(window.x_lo, window.x_hi)
 
-        # Gather the obstacle cells touching each window row.  Obstacles
-        # that are not fully contained in the window (or are fixed) always
-        # clip the row's free span; fully-contained legalized cells start
-        # out as localCell candidates, but any candidate that ends up
-        # outside the chosen segments must be demoted to a blockage and
-        # the segments recomputed — otherwise it would be invisible to FOP
-        # and the target could be placed on top of it.
-        row_obstacles: Dict[int, List] = {}
-        forced_holes: Dict[int, List[Interval]] = {}
-        candidates: Dict[int, object] = {}
+        # Gather the obstacle cells touching each window row and classify
+        # each one once.  Obstacles that are not fully contained in the
+        # window (or are fixed) always clip the free span of every row
+        # they touch; fully-contained legalized cells start out as
+        # localCell candidates.
+        row_spans: Dict[int, Interval] = {}
+        row_holes: Dict[int, List[Interval]] = {}
+        inside: Dict[int, bool] = {}
+        candidates: Dict[int, Tuple[Cell, Interval, range]] = {}
         for row in window.rows():
             row_interval = layout.row_span_interval(row).intersect(window_x)
             if row_interval.empty:
                 continue
-            cells_here, row_scanned = self._scan_row(row, window.x_lo, window.x_hi)
+            cells_here, row_scanned = self._scan_row(row, x_lo, x_hi)
             scanned += row_scanned
-            row_obstacles[row] = cells_here
-            forced_holes[row] = []
+            row_spans[row] = row_interval
+            holes = row_holes[row] = []
             for cell in cells_here:
-                if cell.index == target.index:
+                index = cell.index
+                if index == target.index:
                     continue
-                if cell.right <= window.x_lo or cell.x >= window.x_hi:
+                cell_lo = cell.x
+                cell_hi = cell_lo + cell.width
+                if cell_hi <= x_lo or cell_lo >= x_hi:
                     continue  # cached scan wider than this window
-                fully_inside = (
-                    not cell.fixed
-                    and window.contains_rect(cell.x, cell.y, cell.width, cell.height)
-                    and all(r in window.rows() for r in cell.rows_covered())
-                )
-                if fully_inside:
-                    candidates[cell.index] = cell
-                else:
-                    forced_holes[row].append(Interval(cell.x, cell.right))
+                fully_inside = inside.get(index)
+                if fully_inside is None:
+                    rows = cell.rows_covered()
+                    fully_inside = inside[index] = (
+                        not cell.fixed
+                        and window.contains_rect(cell_lo, cell.y, cell.width, cell.height)
+                        and row_lo <= rows.start
+                        and rows.stop <= row_hi
+                    )
+                    if fully_inside:
+                        candidates[index] = (cell, Interval(cell_lo, cell_hi), rows)
+                if not fully_inside:
+                    holes.append(Interval(cell_lo, cell_hi))
 
-        demoted: set = set()
-        segments: Dict[int, LocalSegment] = {}
-        for _ in range(1 + len(candidates)):
-            # Recompute the per-row longest free run given the current holes.
-            segments = {}
-            for row, cells_here in row_obstacles.items():
-                row_interval = layout.row_span_interval(row).intersect(window_x)
-                holes = list(forced_holes[row])
-                holes.extend(
-                    Interval(c.x, c.right)
-                    for c in cells_here
-                    if c.index in demoted
-                )
-                free = subtract_intervals(row_interval, holes)
-                if not free:
-                    continue
-                longest = max(free, key=lambda iv: iv.length)
-                segments[row] = LocalSegment(row=row, interval=longest)
-            # Demote candidates that are not contained in the segments of
-            # every row they cover; repeat until stable.
-            newly_demoted = False
-            for index, cell in candidates.items():
-                if index in demoted:
-                    continue
-                contained = True
-                for r in cell.rows_covered():
-                    seg_r = segments.get(r)
-                    if seg_r is None or not seg_r.interval.contains_interval(
-                        Interval(cell.x, cell.right)
-                    ):
-                        contained = False
-                        break
-                if not contained:
-                    demoted.add(index)
-                    newly_demoted = True
-            if not newly_demoted:
+        # Each row's localSegment is its longest free run, and depends only
+        # on that row's holes.  A candidate that is not contained in the
+        # segment of every row it covers must be demoted to a blockage —
+        # otherwise it would be invisible to FOP and the target could be
+        # placed on top of it.  Demotion adds holes, so each pass
+        # re-segments only the rows the previous pass's demotions cover,
+        # and re-checks the remaining candidates against the new segments.
+        segments: Dict[int, Optional[Interval]] = {
+            row: longest_interval(subtract_intervals(span, row_holes[row]))
+            for row, span in row_spans.items()
+        }
+        pending = list(candidates.values())
+        demoted: Set[int] = set()
+        while pending:
+            newly = [item for item in pending if not _contained(item[1], item[2], segments)]
+            if not newly:
                 break
+            dirty: Set[int] = set()
+            for cell, span, rows in newly:
+                demoted.add(cell.index)
+                for r in rows:
+                    holes = row_holes.get(r)
+                    if holes is not None:
+                        holes.append(span)
+                        dirty.add(r)
+            for r in sorted(dirty):
+                segments[r] = longest_interval(subtract_intervals(row_spans[r], row_holes[r]))
+            pending = [item for item in pending if item[0].index not in demoted]
 
         region = LocalRegion(window=window, target=target)
-        for segment in segments.values():
-            region.add_segment(segment)
-        for index, cell in candidates.items():
+        for row, longest in segments.items():
+            if longest is not None:
+                region.add_segment(LocalSegment(row=row, interval=longest))
+        for index, (cell, _, _) in candidates.items():
             if index not in demoted:
                 region.add_local_cell(cell)
-
         region.finalize()
-        region.density = layout.window_density(
-            window.x_lo, window.x_hi, window.row_lo, window.row_hi
-        )
         return region, scanned
+
+
+def _contained(span: Interval, rows: range, segments: Dict[int, Optional[Interval]]) -> bool:
+    """True when ``span`` lies in the segment of every one of ``rows``."""
+    for r in rows:
+        segment = segments.get(r)
+        if segment is None or not segment.contains_interval(span):
+            return False
+    return True
 
 
 def build_local_region(

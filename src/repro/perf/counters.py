@@ -112,7 +112,6 @@ class TargetCellWork:
     to the geometric base window before retry 0 (0 when the base window
     already held enough free capacity, or the planner was disabled)."""
     fallback_used: bool = False
-    region_density: float = 0.0
     region_transfer_words: int = 0
     update_moved_cells: int = 0
     insertion_points: List[InsertionPointWork] = field(default_factory=list)

@@ -133,10 +133,44 @@ class TestLocalRegion:
         assert all(lc.cell.index != 1 for lc in region.local_cells)
         assert region.segments[1].x_lo >= 6.0
 
-    def test_density_recorded(self, simple_layout):
-        target = add_target(simple_layout, 15.0, 0.0, 3.0, 1)
-        region = region_for(simple_layout, target)
-        assert 0.0 < region.density < 1.0
+    def test_demotion_cascades_to_a_later_pass(self):
+        # Demoting A in the first pass shrinks row 1's segment, which only
+        # then leaves the 2-row cell B outside it: B is demoted in the
+        # second pass, and that demotion clips rows 0 and 1 in turn.
+        layout = Layout(4, 40)
+        # Fixed blockage splits row 3 into [0,12) and [24,40).
+        layout.add_cell(Cell(index=0, width=12, height=1, gp_x=12.0, gp_y=3.0, x=12.0, y=3.0, fixed=True))
+        # A: 3-row cell in row 3's shorter free run.
+        layout.add_cell(Cell(index=1, width=4, height=3, gp_x=2.0, gp_y=1.0, x=2.0, y=1.0, legalized=True))
+        # B: 2-row cell inside every segment of the first pass.
+        layout.add_cell(Cell(index=2, width=2, height=2, gp_x=0.0, gp_y=0.0, x=0.0, y=0.0, legalized=True))
+        target = add_target(layout, 30.0, 0.0, 3.0, 1)
+        layout.rebuild_index()
+        region = region_for(layout, target)
+        assert region.local_cells == []
+        assert [(row, seg.x_lo, seg.x_hi) for row, seg in region.segments.items()] == [
+            (0, 2.0, 40.0),
+            (1, 6.0, 40.0),
+            (2, 6.0, 40.0),
+            (3, 24.0, 40.0),
+        ]
+
+    def test_demotion_can_remove_a_row_segment(self):
+        # Row 1's only free run is exactly the 2-row cell C.  C lies outside
+        # row 0's segment, so it is demoted and row 1 is left with no free
+        # run: the row drops out of the region, and the other rows keep
+        # their order.
+        layout = Layout(3, 40)
+        layout.add_cell(Cell(index=0, width=36, height=1, gp_x=4.0, gp_y=1.0, x=4.0, y=1.0, fixed=True))
+        layout.add_cell(Cell(index=1, width=4, height=1, gp_x=4.0, gp_y=0.0, x=4.0, y=0.0, fixed=True))
+        layout.add_cell(Cell(index=2, width=4, height=2, gp_x=0.0, gp_y=0.0, x=0.0, y=0.0, legalized=True))
+        target = add_target(layout, 30.0, 0.0, 3.0, 1)
+        layout.rebuild_index()
+        region = region_for(layout, target)
+        assert region.local_cells == []
+        assert list(region.segments) == [0, 2]
+        assert region.segments[0].x_lo == pytest.approx(8.0)
+        assert 1 not in region.row_cells
 
     def test_transfer_words_scale_with_content(self, simple_layout):
         target = add_target(simple_layout, 15.0, 0.0, 3.0, 1)

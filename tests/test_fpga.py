@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import FlexLegalizer
 from repro.core.config import FlexConfig, NORMAL_PIPELINE_CONFIG
 from repro.core.pipeline import PipelineOrganization
 from repro.fpga import (
@@ -25,6 +26,7 @@ from repro.fpga.clock import memory_clock, pe_clock
 from repro.fpga.pe import FopPeModel
 from repro.fpga.resources import ResourceVector
 from repro.perf.counters import InsertionPointWork
+from repro.testing import small_design
 
 from test_perf_models import make_trace
 
@@ -217,6 +219,36 @@ class TestPipelineModel:
         estimate = FpgaPipelineModel(FlexConfig()).estimate(trace)
         assert 0.0 < estimate.stage_fraction("cell_shift") < 1.0
         assert estimate.stage_fraction("nonexistent") == 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [FlexConfig(), FlexConfig(fop_pe_parallelism=2), NORMAL_PIPELINE_CONFIG],
+        ids=["flex", "two-pes", "normal"],
+    )
+    def test_estimate_equals_per_point_folds(self, config):
+        # estimate() splits each insertion point into stages once and
+        # feeds that split to both totals; the figures must equal, bit
+        # for bit, the separate per-target and per-stage folds.
+        legalizer = FlexLegalizer(config)
+        result = legalizer.legalize(small_design(60, 0.7, seed=5))
+        trace = result.legalization.trace
+        model = FpgaPipelineModel(config, trace_used_sacs=trace.shift_algorithm == "sacs")
+        estimate = model.estimate(trace)
+        assert estimate.per_target_cycles == {
+            work.cell_index: model.target_cycles(work)["total"] for work in trace.targets
+        }
+        stages: dict = {}
+        presort = 0.0
+        for work in trace.targets:
+            presort += model.target_cycles(work)["presort"]
+            for ip in work.insertion_points:
+                for stage, cycles in model._pe_model.stage_cycles(ip).items():
+                    stages[stage] = stages.get(stage, 0.0) + cycles
+        if presort:
+            stages["presort"] = presort
+        assert estimate.stage_cycles == stages
+        assert result.fpga == estimate
+        assert result.cpu_breakdown == legalizer.cpu_model.breakdown(trace).as_dict()
 
 
 class TestHostLink:

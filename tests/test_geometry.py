@@ -342,12 +342,6 @@ class TestLayout:
         for left, right in simple_layout.iter_obstacle_pairs():
             assert left.right <= right.x + 1e-9
 
-    def test_window_density(self, simple_layout):
-        full = simple_layout.window_density(0, 40, 0, 6)
-        assert 0.0 < full < 1.0
-        empty = simple_layout.window_density(30, 40, 4, 6)
-        assert empty <= full
-
     def test_copy_independent(self, simple_layout):
         clone = simple_layout.copy()
         clone.cells[0].x = 99.0
