@@ -8,8 +8,9 @@ implementations can be swapped without touching the algorithm layer:
 ``python``
     The scalar reference implementation (the oracle).  Always available.
 ``numpy``
-    The reference kernels plus fused native scoring: every SACS region
-    is scored in one call into the C kernel of
+    The reference kernels plus a native region search: FOP's whole
+    insertion-point search over every SACS region (enumerate, score,
+    reduce) runs in one call into the C kernel of
     :mod:`repro.kernels.native`, bit-for-bit equal to the reference
     (:mod:`repro.kernels.numpy_backend`).  Registered only when numpy is
     importable.
@@ -38,9 +39,9 @@ or at the kernel level:
 Adding a backend
 ----------------
 Subclass :class:`~repro.kernels.base.KernelBackend` (implementing its
-five staged methods) or, to keep the reference stages and add a fused
-path, :class:`~repro.kernels.python_backend.PythonKernelBackend`
-(overriding :meth:`~repro.kernels.base.KernelBackend.score_points`).
+five staged methods) or, to keep the reference stages and add a
+whole-region path, :class:`~repro.kernels.python_backend.PythonKernelBackend`
+(overriding :meth:`~repro.kernels.base.KernelBackend.search_region`).
 Register a factory with :func:`register_backend`, and add the backend
 name to the parametrized equivalence suite in ``tests/test_kernels.py``
 — the suite asserts bit-for-bit agreement with the ``python`` oracle on

@@ -22,9 +22,11 @@ backend may choose its own representation (the reference keeps a list of
 :class:`~repro.mgl.curves.BreakpointPiece` plus a constant) and only that
 backend's other methods consume it.  Callers must therefore run
 build/minimize/evaluate against a single backend instance, which is how
-FOP uses them.  A backend can also score a whole region in one fused
-step (:meth:`KernelBackend.score_points`); the ``numpy`` backend does so
-for SACS regions and inherits the reference for everything else.
+FOP uses them.  A backend can also run FOP's whole search over a region
+(enumerate, score and reduce its insertion points) in one step
+(:meth:`KernelBackend.search_region`); the ``numpy`` backend does so for
+SACS regions in its native kernel and inherits the reference for
+everything else.
 
 Every backend must be *bit-for-bit equivalent* to the pure-Python
 reference: same optima, same costs, same shift thresholds, same work
@@ -37,7 +39,7 @@ those tests.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.sacs import SACSContext
@@ -46,6 +48,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mgl.curves import CurveEvaluation
     from repro.mgl.insertion import InsertionPoint
     from repro.mgl.shifting import ShiftOutcome
+    from repro.perf.counters import InsertionPointWork
+
+
+class RegionSearch(NamedTuple):
+    """The result of FOP's insertion-point search over one localRegion.
+
+    ``works``, ``sites`` and ``costs`` hold one entry per evaluated
+    insertion point, in enumeration order: its work record, its best
+    site and that site's cost (``nan`` and ``inf`` for an infeasible
+    point).  ``n_feasible`` counts the feasible points.  ``winner`` is
+    ``None`` when none is feasible, else ``(insertion, best_x, cost,
+    outcome)`` of the winning point; ``outcome`` may be ``None``.
+    """
+
+    works: List["InsertionPointWork"]
+    sites: List[float]
+    costs: List[float]
+    n_feasible: int
+    winner: Optional[Tuple["InsertionPoint", float, float, Optional["ShiftOutcome"]]]
 
 
 class KernelBackend(ABC):
@@ -60,7 +81,7 @@ class KernelBackend(ABC):
     #: implement ``should_parallelize_fop(region, points, config)`` and
     #: ``evaluate_points_parallel(region, target, points, config)``;
     #: :func:`repro.mgl.fop.find_optimal_position` calls them per region
-    #: that :meth:`score_points` does not score.  Each region farmed out
+    #: that :meth:`search_region` does not search.  Each region farmed out
     #: is counted in :attr:`parallel_regions`.
     supports_point_parallel: bool = False
 
@@ -148,19 +169,22 @@ class KernelBackend(ABC):
         """
         return [self.evaluate(curves, xs) for curves, xs in zip(curve_sets, queries)]
 
-    def score_points(
+    def search_region(
         self,
         region: "LocalRegion",
         target: "Cell",
-        points: Sequence["InsertionPoint"],
+        bottom_rows: Sequence[int],
         config: Any,
-    ) -> Optional[List[Tuple[Any, ...]]]:
-        """Score a region's whole insertion-point list in one fused step.
+    ) -> Optional[RegionSearch]:
+        """Run FOP's whole insertion-point search over a region in one step.
 
-        Returns the entries :func:`repro.mgl.fop.evaluate_point_list`
-        would (with ``None`` outcomes), or ``None`` when this backend has
-        no fused path for ``config``; FOP then runs the staged kernels
-        above.  The default has none.
+        Enumerates the insertion points of every candidate bottom row in
+        ``bottom_rows``, scores them and reduces them to the winner,
+        returning what :func:`repro.mgl.fop.search_points` returns (the
+        winner's outcome may be ``None``; FOP then re-derives it).
+        Returns ``None`` when this backend has no whole-region path for
+        ``config``; FOP then enumerates in Python and runs the staged
+        kernels above.  The default has none.
         """
         return None
 

@@ -1,14 +1,19 @@
 /*
- * Fused native FOP kernel: scores every insertion point of one localRegion
- * (SACS shifting, displacement-curve construction, curve minimization and
- * site snapping) in a single call.
+ * Native FOP kernel: runs FOP's whole insertion-point search over one
+ * localRegion (paper Fig. 3(e), the triple loop over candidate bottom rows,
+ * insertion intervals and cells) in a single call: it enumerates the
+ * insertion points of every candidate bottom row, scores each one (SACS
+ * shifting, displacement-curve construction, curve minimization and site
+ * snapping) and reduces them to the winning point.
  *
  * The kernel is a transcription of the pure-Python reference
- * (repro.core.sacs.shift_cells_sacs, repro.mgl.fop.build_curves,
- * repro.mgl.curves.minimize_curves / minimize_curves_fwd_bwd and the FOP
- * snapping step) and must agree with it bit for bit.  Every floating-point
- * operation below is the same IEEE-754 double operation, on the same
- * operands, in the same order as in the reference:
+ * (repro.mgl.insertion.enumerate_insertion_points,
+ * repro.core.sacs.shift_cells_sacs, repro.mgl.fop.build_curves,
+ * repro.mgl.curves.minimize_curves / minimize_curves_fwd_bwd, the FOP
+ * snapping step and the reduction of repro.mgl.fop.reduce_points) and must
+ * agree with it bit for bit.  Every floating-point operation below is the
+ * same IEEE-754 double operation, on the same operands, in the same order as
+ * in the reference:
  *
  *   - threshold dictionaries are replayed with explicit first-insertion
  *     order lists, because curve construction (and therefore the constant
@@ -18,7 +23,7 @@
  *   - the breakpoint sort is stable, like Python's sorted();
  *   - sums are the reference's left folds from 0.0; the snapping sum follows
  *     CPython's float sum(), which is compensated (Neumaier) from 3.12 on,
- *     selected by fop_region.neumaier_sum.
+ *     selected by fop_search.neumaier_sum.
  *
  * Build with -O2 -ffp-contract=off and without -ffast-math: contraction into
  * fused multiply-adds or reassociation would change results.
@@ -30,31 +35,28 @@
 
 #define EPS 1e-9
 
-/* Point status codes written to fop_region.status. */
-#define ST_INFEASIBLE 0 /* the shift outcome is infeasible */
-#define ST_NO_SITE 1    /* feasible shift, but no site fits the interval */
-#define ST_OK 2         /* scored: best_x / cost are valid */
+/* fop_search_region return codes. */
+#define OK 0
+#define NO_MEMORY -1
+#define BAD_REGION -2 /* the arrays do not describe a consistent localRegion */
 
+/* The call's arguments, as packed by repro.kernels.native (the field order
+   matters: the ctypes mirror there lists the same fields). */
 typedef struct {
     /* localCells */
     int n_cells;
-    const double *x;       /* snapshot x */
-    const double *right;   /* snapshot right edge (x + width) */
-    const double *gp_x;    /* global-placement x */
-    const double *seg_lo;  /* tightest segment lower bound over the cell's rows */
-    const double *seg_hi;  /* tightest segment upper bound over the cell's rows */
-    const int *order_desc; /* left-move processing order (rank -> cell) */
-    const int *order_asc;  /* right-move processing order (rank -> cell) */
-    const int *rank_desc;  /* cell -> rank in order_desc */
-    const int *rank_asc;   /* cell -> rank in order_asc */
-    const int *cell_row_start; /* n_cells + 1 offsets into cell_rows / cell_pos */
-    const int *cell_rows;  /* dense row of each subcell, in cell.rows order */
-    const int *cell_pos;   /* position of that subcell in its row */
-    /* rows (dense index = row - lowest region row) */
+    const double *x;        /* snapshot x */
+    const double *width;
+    const double *gp_x;     /* global-placement x */
+    const int *order_asc;   /* cells sorted by (x, index): the right-move order */
+    const int *cell_row_start; /* n_cells + 1 offsets into cell_rows */
+    const int *cell_rows;   /* row of each subcell, in cell.rows order */
+    /* rows (dense index = row - row_base) */
+    int row_base;
     int n_rows;
-    const int *row_start;  /* n_rows + 1 offsets into row_cells */
-    const int *row_cells;  /* per-row x-sorted local indices */
-    const double *row_seg_lo;
+    const int *row_start;   /* n_rows + 1 offsets into row_cells */
+    const int *row_cells;   /* per-row x-sorted local indices */
+    const double *row_seg_lo; /* segment bounds (0.0 for a row without one) */
     const double *row_seg_hi;
     /* target and configuration */
     double target_gp_x;
@@ -64,19 +66,50 @@ typedef struct {
     int height;
     int fwd_bwd;
     int neumaier_sum;
-    /* insertion points */
+    /* candidate bottom rows (absolute), in the order FOP enumerates them */
+    int n_bottoms;
+    const int *bottoms;
+    /* per-point outputs, in enumeration order; each column holds capacity
+       entries: feasible, n_left, n_right, n_breakpoints, n_merged */
+    int capacity;
+    int *point_ints;
+    double *point_scores;   /* best site, cost columns (nan, inf where infeasible) */
+    /* search outputs */
     int n_points;
-    const int *bottom;       /* absolute bottom row of each point */
-    const int *bottom_dense; /* dense index of that row */
-    const int *split;        /* n_points * height split indices, bottom row first */
-    /* outputs, one entry per point */
-    int *status;
-    double *best_x;
-    double *cost;
-    int *n_left;
-    int *n_right;
-    int *n_breakpoints;
-    int *n_merged;
+    int n_feasible;
+    int winner;             /* index of the winning point, -1 when none */
+    int winner_bottom;
+    int *winner_split;      /* height split indices, bottom row first */
+} fop_search;
+
+/* The region as the scoring loop reads it: the call's arrays plus the ones
+   derived from them once per call (derive_region). */
+typedef struct {
+    int n_cells;
+    const double *x;
+    const double *gp_x;
+    const int *order_asc;
+    const int *cell_row_start;
+    int n_rows;
+    const int *row_start;
+    const int *row_cells;
+    const double *row_seg_lo;
+    const double *row_seg_hi;
+    double target_gp_x;
+    double target_gp_y;
+    double target_width;
+    double vertical_cost_factor;
+    int height;
+    int fwd_bwd;
+    /* derived */
+    int *cell_rows;  /* dense row of each subcell */
+    double *right;   /* x + width */
+    double *seg_lo;  /* tightest segment lower bound over the cell's rows */
+    double *seg_hi;  /* tightest segment upper bound over the cell's rows */
+    int *order_desc; /* left-move processing order (rank -> cell) */
+    int *rank_desc;  /* cell -> rank in order_desc */
+    int *rank_asc;   /* cell -> rank in order_asc */
+    int *cell_pos;   /* position of each subcell in its row */
 } fop_region;
 
 static inline double py_max(double a, double b) { return b > a ? b : a; }
@@ -436,18 +469,169 @@ static double evaluate(const curves *c, double q, int neumaier)
     return c->constant + total;
 }
 
-/* Score every insertion point of the region.  Returns 0, or -1 when the
-   scratch memory cannot be allocated. */
-int fop_score_region(fop_region *R)
+/* Score one insertion point (bottom row `bottom`, dense bd, split indices
+   `split`): repro.mgl.fop.evaluate_point_list's stages for that point.
+   Writes the point's work counters to ints[k * cap] (k = column) and its
+   site and cost to scores[0] / scores[cap] (nan and inf when it does not
+   score); returns 1 when it scored. */
+static int score_point(const fop_region *R, int bottom, int bd, const int *split, int epoch,
+                       thresholds *left, thresholds *right, curves *c, int neumaier,
+                       int *ints, double *scores, int cap)
 {
-    size_t nc = (size_t)(R->n_cells > 0 ? R->n_cells : 1);
+    shift_left(R, split, bd, left, epoch);
+    shift_right(R, split, bd, right, epoch);
+    ints[cap] = left->count;
+    ints[2 * cap] = right->count;
+    ints[3 * cap] = 0;
+    ints[4 * cap] = 0;
+    scores[0] = NAN;
+    scores[cap] = INFINITY;
+
+    double xt_lo, xt_hi;
+    if (!finalize(R, split, bd, left, right, epoch, &xt_lo, &xt_hi)) return 0;
+    build_curves(R, bottom, left, right, c);
+    double best_x;
+    ints[4 * cap] = minimize(R, c, xt_lo, xt_hi, &best_x);
+    ints[3 * cap] = c->n;
+
+    /* repro.mgl.fop._site_candidates + _pick_site (sites are Python ints
+       there; "+ 0.0" maps a floored -0.0 to the 0.0 of float(0)) */
+    double site_lo = ceil(xt_lo - EPS);
+    double site_hi = floor(xt_hi + EPS);
+    if (site_lo > site_hi) return 0;
+    double a = py_min(py_max(floor(best_x), site_lo), site_hi) + 0.0;
+    double b = py_min(py_max(ceil(best_x), site_lo), site_hi) + 0.0;
+    double sites[2] = {a < b ? a : b, a < b ? b : a};
+    int n_sites = a == b ? 1 : 2;
+    double bv = INFINITY;
+    int scored = 0;
+    for (int s = 0; s < n_sites; s++) {
+        double v = evaluate(c, sites[s], neumaier);
+        if (v < bv - EPS) {
+            scored = 1;
+            scores[0] = sites[s];
+            scores[cap] = bv = v;
+        }
+    }
+    return scored;
+}
+
+typedef struct {
+    double key;
+    int idx;
+} centre;
+
+/* Python's sort key (x + width / 2.0, idx); the indices make it total. */
+static int by_centre(const void *pa, const void *pb)
+{
+    const centre *a = pa, *b = pb;
+    if (a->key < b->key) return -1;
+    if (a->key > b->key) return 1;
+    return (a->idx > b->idx) - (a->idx < b->idx);
+}
+
+/* Fill the derived arrays of R (and the per-row width prefixes); returns
+   BAD_REGION when the arrays do not describe a consistent region. */
+static int derive_region(const fop_search *S, fop_region *R, double *prefix)
+{
+    int n = R->n_cells, n_sub = R->cell_row_start[n];
+    for (int i = 0; i < n; i++) {
+        R->right[i] = R->x[i] + S->width[i];
+        R->rank_asc[i] = -1;
+    }
+    for (int rank = 0; rank < n; rank++) {
+        int idx = R->order_asc[rank];
+        if (idx < 0 || idx >= n || R->rank_asc[idx] >= 0) return BAD_REGION;
+        R->rank_asc[idx] = rank;
+        R->order_desc[n - 1 - rank] = idx;
+        R->rank_desc[idx] = n - 1 - rank;
+    }
+    for (int s = 0; s < n_sub; s++) {
+        R->cell_rows[s] = S->cell_rows[s] - S->row_base;
+        if (R->cell_rows[s] < 0 || R->cell_rows[s] >= R->n_rows) return BAD_REGION;
+        R->cell_pos[s] = -1;
+    }
+    /* cell_pos: where each subcell sits in its row; every subcell must be
+       listed in exactly its row, and every row entry must be a subcell. */
+    for (int r = 0; r < R->n_rows; r++) {
+        double *pf = prefix + R->row_start[r] + r;
+        pf[0] = 0.0;
+        for (int p = 0; p < R->row_start[r + 1] - R->row_start[r]; p++) {
+            int idx = R->row_cells[R->row_start[r] + p], s;
+            if (idx < 0 || idx >= n) return BAD_REGION;
+            for (s = R->cell_row_start[idx]; s < R->cell_row_start[idx + 1]; s++)
+                if (R->cell_rows[s] == r && R->cell_pos[s] < 0) break;
+            if (s == R->cell_row_start[idx + 1]) return BAD_REGION;
+            R->cell_pos[s] = p;
+            pf[p + 1] = pf[p] + S->width[idx]; /* _row_prefix_widths */
+        }
+    }
+    if (R->row_start[R->n_rows] != n_sub) return BAD_REGION;
+    /* Tightest segment bounds over the cell's rows, folded as
+       repro.mgl.shifting._segment_bounds_for_cell folds them. */
+    for (int i = 0; i < n; i++) {
+        int s = R->cell_row_start[i], end = R->cell_row_start[i + 1];
+        double lo = 0.0, hi = 0.0;
+        if (s < end) {
+            lo = R->row_seg_lo[R->cell_rows[s]];
+            hi = R->row_seg_hi[R->cell_rows[s]];
+        }
+        for (s++; s < end; s++) {
+            lo = py_max(lo, R->row_seg_lo[R->cell_rows[s]]);
+            hi = py_min(hi, R->row_seg_hi[R->cell_rows[s]]);
+        }
+        R->seg_lo[i] = lo;
+        R->seg_hi[i] = hi;
+    }
+    for (int b = 0; b < S->n_bottoms; b++) {
+        int bd = S->bottoms[b] - S->row_base;
+        if (bd < 0 || bd + R->height > R->n_rows) return BAD_REGION;
+    }
+    return OK;
+}
+
+/* repro.mgl.insertion._combination_feasible: can every spanned row host its
+   left cells, the target and its right cells when fully packed? */
+static int fits(const fop_region *R, const double *prefix, int bd, const int *split)
+{
+    for (int j = 0; j < R->height; j++) {
+        int r = bd + j;
+        const double *pf = prefix + R->row_start[r] + r;
+        double left = pf[split[j]];
+        double right = pf[R->row_start[r + 1] - R->row_start[r]] - left;
+        double length = py_max(0.0, R->row_seg_hi[r] - R->row_seg_lo[r]);
+        if (left + R->target_width + right > length + 1e-9) return 0;
+    }
+    return 1;
+}
+
+/* The whole search: enumerate every candidate bottom row's insertion points
+   in sweep order, score each, and keep the winner as
+   repro.mgl.fop.reduce_points does.  Returns OK, NO_MEMORY or BAD_REGION. */
+int fop_search_region(fop_search *S)
+{
+    fop_region R = {S->n_cells, S->x, S->gp_x, S->order_asc, S->cell_row_start,
+                    S->n_rows, S->row_start, S->row_cells, S->row_seg_lo, S->row_seg_hi,
+                    S->target_gp_x, S->target_gp_y, S->target_width, S->vertical_cost_factor,
+                    S->height, S->fwd_bwd,
+                    NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL};
+    S->n_points = S->n_feasible = 0;
+    S->winner = -1;
+    if (S->n_cells < 0 || S->n_rows < 0 || S->height < 1 || S->cell_row_start[0] != 0
+        || S->row_start[0] != 0)
+        return BAD_REGION;
+    size_t nc = (size_t)(S->n_cells > 0 ? S->n_cells : 1);
+    size_t n_sub = (size_t)S->cell_row_start[S->n_cells];
+    size_t n_prefix = (size_t)S->row_start[S->n_rows] + (size_t)S->n_rows;
     size_t cap = 1 + 2 * nc; /* pieces of a feasible point: target + 2 per cell */
-    int *ints = calloc(4 * nc + 2 * cap, sizeof(int));
-    double *dbls = malloc((2 * nc + 9 * cap) * sizeof(double));
-    if (ints == NULL || dbls == NULL) {
+    int *ints = calloc(7 * nc + 2 * cap + 2 * n_sub + (size_t)S->height, sizeof(int));
+    double *dbls = malloc((5 * nc + 9 * cap + n_prefix) * sizeof(double));
+    centre *centres = malloc(nc * sizeof(centre));
+    if (ints == NULL || dbls == NULL || centres == NULL) {
         free(ints);
         free(dbls);
-        return -1;
+        free(centres);
+        return NO_MEMORY;
     }
     thresholds left = {ints, dbls, ints + nc, 0};
     thresholds right = {ints + 2 * nc, dbls + nc, ints + 3 * nc, 0};
@@ -457,51 +641,75 @@ int fop_score_region(fop_region *R)
                 ints + 4 * nc, ints + 4 * nc + cap,
                 d + 3 * cap, d + 4 * cap, d + 5 * cap,
                 d + 6 * cap, d + 7 * cap, d + 8 * cap};
+    int *derived = ints + 4 * nc + 2 * cap;
+    R.order_desc = derived;
+    R.rank_desc = derived + nc;
+    R.rank_asc = derived + 2 * nc;
+    R.cell_pos = derived + 3 * nc;
+    R.cell_rows = R.cell_pos + n_sub;
+    int *split = R.cell_rows + n_sub;
+    R.right = dbls + 2 * nc + 9 * cap;
+    R.seg_lo = R.right + nc;
+    R.seg_hi = R.seg_lo + nc;
+    double *prefix = R.seg_hi + nc;
 
-    for (int p = 0; p < R->n_points; p++) {
-        int epoch = p + 1;
-        const int *split = R->split + (size_t)p * R->height;
-        int bd = R->bottom_dense[p];
-        shift_left(R, split, bd, &left, epoch);
-        shift_right(R, split, bd, &right, epoch);
-        R->n_left[p] = left.count;
-        R->n_right[p] = right.count;
-        R->n_breakpoints[p] = 0;
-        R->n_merged[p] = 0;
-        R->best_x[p] = 0.0;
-        R->cost[p] = INFINITY;
+    int rc = derive_region(S, &R, prefix);
+    for (int i = 0; rc == OK && i < S->n_cells; i++) {
+        centres[i].key = S->x[i] + S->width[i] / 2.0;
+        centres[i].idx = i;
+    }
+    if (rc == OK) qsort(centres, (size_t)S->n_cells, sizeof(centre), by_centre);
 
-        double xt_lo, xt_hi;
-        if (!finalize(R, split, bd, &left, &right, epoch, &xt_lo, &xt_hi)) {
-            R->status[p] = ST_INFEASIBLE;
-            continue;
-        }
-        build_curves(R, R->bottom[p], &left, &right, &c);
-        double best_x;
-        R->n_merged[p] = minimize(R, &c, xt_lo, xt_hi, &best_x);
-        R->n_breakpoints[p] = c.n;
-
-        /* repro.mgl.fop._site_candidates + _pick_site (sites are Python
-           ints there; "+ 0.0" maps a floored -0.0 to the 0.0 of float(0)) */
-        double site_lo = ceil(xt_lo - EPS);
-        double site_hi = floor(xt_hi + EPS);
-        R->status[p] = ST_NO_SITE;
-        if (site_lo > site_hi) continue;
-        double a = py_min(py_max(floor(best_x), site_lo), site_hi) + 0.0;
-        double b = py_min(py_max(ceil(best_x), site_lo), site_hi) + 0.0;
-        double sites[2] = {a < b ? a : b, a < b ? b : a};
-        int n_sites = a == b ? 1 : 2;
-        double bv = INFINITY;
-        for (int s = 0; s < n_sites; s++) {
-            double v = evaluate(&c, sites[s], R->neumaier_sum);
-            if (v < bv - EPS) {
-                R->status[p] = ST_OK;
-                R->best_x[p] = sites[s];
-                R->cost[p] = bv = v;
+    int cap_pts = S->capacity;
+    double best_cost = INFINITY, best_x = 0.0;
+    for (int b = 0; rc == OK && b < S->n_bottoms; b++) {
+        int bottom = S->bottoms[b], bd = bottom - S->row_base;
+        memset(split, 0, (size_t)R.height * sizeof(int));
+        /* The sweep: the all-right combination, then one combination per
+           cell overlapping the spanned rows, in x-centre order, each
+           moving that cell to the target's left in every row it covers. */
+        for (int e = -1; e < S->n_cells; e++) {
+            if (e >= 0) {
+                int idx = centres[e].idx, touched = 0;
+                for (int s = R.cell_row_start[idx]; s < R.cell_row_start[idx + 1]; s++) {
+                    int j = R.cell_rows[s] - bd;
+                    if (j >= 0 && j < R.height) {
+                        split[j]++;
+                        touched = 1;
+                    }
+                }
+                if (!touched) continue;
+            }
+            if (!fits(&R, prefix, bd, split)) continue;
+            int p = S->n_points;
+            if (p >= cap_pts) {
+                rc = BAD_REGION;
+                break;
+            }
+            S->n_points++;
+            int *out = S->point_ints + p;
+            double *score = S->point_scores + p;
+            out[0] = score_point(&R, bottom, bd, split, p + 1, &left, &right, &c,
+                                 S->neumaier_sum, out, score, cap_pts);
+            if (!out[0]) continue;
+            /* reduce_points: a strictly lower cost wins; an equal cost
+               wins when its site is strictly closer to the target's x. */
+            S->n_feasible++;
+            double x = score[0], cost = score[cap_pts];
+            int better = cost < best_cost - EPS;
+            int tie = fabs(cost - best_cost) <= EPS && S->winner >= 0
+                      && fabs(x - R.target_gp_x) < fabs(best_x - R.target_gp_x);
+            if (better || tie) {
+                best_cost = cost;
+                best_x = x;
+                S->winner = p;
+                S->winner_bottom = bottom;
+                memcpy(S->winner_split, split, (size_t)R.height * sizeof(int));
             }
         }
     }
     free(ints);
     free(dbls);
-    return 0;
+    free(centres);
+    return rc;
 }

@@ -12,8 +12,8 @@ the scored points in enumeration order, so placements and work records
 are **bit-for-bit identical** to the sequential reference.
 
 Only the original shifter's staged pipeline is farmed out.  SACS regions
-go to the fused native kernel, which scores a whole region in less time
-than shipping it to a worker.
+go to the inner backend's native region search, which searches a whole
+region in less time than shipping it to a worker.
 
 **One persistent pool.**  Workers are forked lazily on the first region
 that needs them and reused by every later region and run (critical for
@@ -24,8 +24,8 @@ target, params)`` blob plus a point chunk; workers keep no state between
 tasks.
 
 The staged kernel methods (curves, minimization, SACS chains) are the
-inherited Python reference, and fused region scoring delegates to the
-inner sequential backend, so ``"multiprocess"`` is also a valid drop-in
+inherited Python reference, and the whole-region search delegates to
+the inner sequential backend, so ``"multiprocess"`` is also a valid drop-in
 kernel backend for per-region work.
 """
 
@@ -239,8 +239,8 @@ class MultiprocessKernelBackend(PythonKernelBackend):
         ``min(8, cpu_count)``.  Results never depend on the worker count.
     inner:
         Sequential backend executing the numeric kernels inside each
-        worker and scoring fused regions (:meth:`score_points`) in the
-        parent.  Defaults to ``"numpy"`` when available, else
+        worker and searching whole regions (:meth:`search_region`) in
+        the parent.  Defaults to ``"numpy"`` when available, else
         ``"python"``.
 
     The worker pool is **persistent**: forked lazily on first use and
@@ -288,10 +288,10 @@ class MultiprocessKernelBackend(PythonKernelBackend):
 
     # ------------------------------------------------------------------
     # Kernel-level work: the inherited reference kernels, plus the inner
-    # backend's fused region scoring
+    # backend's whole-region search
     # ------------------------------------------------------------------
-    def score_points(self, region, target, points, config):
-        return self.inner.score_points(region, target, points, config)
+    def search_region(self, region, target, bottom_rows, config):
+        return self.inner.search_region(region, target, bottom_rows, config)
 
     # ------------------------------------------------------------------
     # Persistent pool management
@@ -362,7 +362,7 @@ class MultiprocessKernelBackend(PythonKernelBackend):
         shipping cost.
 
         Any other shifter scores in-process: SACS regions go to the
-        fused native kernel, which is faster than a round-trip to a
+        native region search, which is faster than a round-trip to a
         worker, and workers only rebuild the original shifter.
         """
         from repro.mgl.shifting import OriginalShifter

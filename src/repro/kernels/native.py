@@ -1,17 +1,21 @@
-"""Fused native FOP kernel: one C call scores a whole localRegion.
+"""Native FOP kernel: one C call runs FOP's whole search over a localRegion.
 
-FOP evaluates every insertion point of a localRegion: SACS shifting,
-displacement-curve construction, curve minimization and site snapping.
-:class:`NativeFOP` runs that whole loop inside ``fop_native.c`` (one
-``ctypes`` call per region) and returns the same ``(insertion, best_x,
-cost, outcome, work)`` entries as :func:`repro.mgl.fop.evaluate_point_list`,
-bit for bit.  The C code transcribes the Python reference operation by
-operation (see the comment at its top); ``tests/test_native.py`` holds
-the two equal on real and synthetic regions and on whole legalizations.
+FOP enumerates the insertion points of every candidate bottom row of a
+localRegion, evaluates each (SACS shifting, displacement-curve
+construction, curve minimization and site snapping) and keeps the best.
+:meth:`NativeFOP.search_region` runs that whole triple loop, reduction
+included, inside ``fop_native.c`` (one ``ctypes`` call per region) and
+returns the same :class:`~repro.kernels.base.RegionSearch` as the Python
+reference :func:`repro.mgl.fop.search_points`, bit for bit.  Python packs
+the region's cells and rows into two flat arrays; the kernel derives the
+processing ranks, subcell positions and per-cell segment bounds itself.
+The C code transcribes the Python reference operation by operation (see
+the comment at its top); ``tests/test_native.py`` holds the two equal on
+real, synthetic and hand-built regions and on whole legalizations.
 
-Shift outcomes are not materialized: entries carry ``None`` and FOP
-re-derives the winning point's outcome, as it does for the multiprocess
-backend's worker chunks.
+Shift outcomes are not materialized: the winner carries ``None`` and FOP
+re-derives its outcome, as it does for the multiprocess backend's worker
+chunks.
 
 The shared library is compiled on first use with ``$CC`` (default
 ``cc``), ``-O2 -ffp-contract=off`` and no fast-math (contraction into
@@ -20,7 +24,7 @@ in ``_native_build/`` next to this file under a name keyed by the
 source, compiler and flags, so a checkout compiles once.  Nothing is
 loaded from anywhere else: without a working compiler, or when that
 directory cannot be written, :meth:`NativeFOP.load` warns once and
-returns ``None``, and SACS scoring runs the Python reference shifter.
+returns ``None``, and SACS regions are searched by the Python reference.
 
 ``python -m repro.kernels.native`` builds the library and reports where
 it was loaded from (exit status 1 when it cannot be built).
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import platform
 import shlex
@@ -38,43 +41,38 @@ import subprocess
 import sys
 import threading
 import warnings
+from array import array
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
+from repro.kernels.base import RegionSearch
+from repro.mgl.insertion import InsertionPoint
 from repro.perf.counters import InsertionPointWork
 
 SOURCE = Path(__file__).with_name("fop_native.c")
 CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
-#: ``fop_region.status`` of a scored point (see fop_native.c).
-_SCORED = 2
 #: CPython's float ``sum()`` is compensated (Neumaier) from 3.12 on; the
 #: reference snapping sum (``evaluate_piecewise``) goes through it.
 _NEUMAIER_SUM = sys.version_info >= (3, 12)
 
-_CELL_DOUBLES = ("x", "right", "gp_x", "seg_lo", "seg_hi")
-_CELL_INTS = (
-    "order_desc", "order_asc", "rank_desc", "rank_asc",
-    "cell_row_start", "cell_rows", "cell_pos",
-)
-_ROW_ARRAYS = ("row_start", "row_cells", "row_seg_lo", "row_seg_hi")
-_OUTPUTS = (
-    ("status", np.int32), ("best_x", np.float64), ("cost", np.float64),
-    ("n_left", np.int32), ("n_right", np.int32),
-    ("n_breakpoints", np.int32), ("n_merged", np.int32),
-)
+#: ``fop_search_region`` return codes (see fop_native.c).
+_NO_MEMORY, _BAD_REGION = -1, -2
+
+#: Per-point output columns of ``point_ints``.
+_POINT_COLUMNS = 5
 
 
-class _Region(ctypes.Structure):
-    """Mirror of ``fop_region`` in fop_native.c (the field order matters)."""
+class _Search(ctypes.Structure):
+    """Mirror of ``fop_search`` in fop_native.c (the field order matters)."""
 
     _fields_ = [
         ("n_cells", ctypes.c_int),
-        *[(name, ctypes.c_void_p) for name in _CELL_DOUBLES + _CELL_INTS],
+        *[(name, ctypes.c_void_p) for name in ("x", "width", "gp_x")],
+        *[(name, ctypes.c_void_p) for name in ("order_asc", "cell_row_start", "cell_rows")],
+        ("row_base", ctypes.c_int),
         ("n_rows", ctypes.c_int),
-        *[(name, ctypes.c_void_p) for name in _ROW_ARRAYS],
+        *[(name, ctypes.c_void_p) for name in ("row_start", "row_cells", "row_seg_lo", "row_seg_hi")],
         ("target_gp_x", ctypes.c_double),
         ("target_gp_y", ctypes.c_double),
         ("target_width", ctypes.c_double),
@@ -82,97 +80,34 @@ class _Region(ctypes.Structure):
         ("height", ctypes.c_int),
         ("fwd_bwd", ctypes.c_int),
         ("neumaier_sum", ctypes.c_int),
+        ("n_bottoms", ctypes.c_int),
+        ("bottoms", ctypes.c_void_p),
+        ("capacity", ctypes.c_int),
+        ("point_ints", ctypes.c_void_p),
+        ("point_scores", ctypes.c_void_p),
         ("n_points", ctypes.c_int),
-        *[(name, ctypes.c_void_p) for name in ("bottom", "bottom_dense", "split")],
-        *[(name, ctypes.c_void_p) for name, _ in _OUTPUTS],
+        ("n_feasible", ctypes.c_int),
+        ("winner", ctypes.c_int),
+        ("winner_bottom", ctypes.c_int),
+        ("winner_split", ctypes.c_void_p),
     ]
 
 
-
-class _RegionArrays:
-    """The per-region half of ``fop_region``, built once per SACS context.
-
-    The fields are packed into one float64 and one int32 array.  Only
-    offsets are kept (no raw addresses), so a context that travels to a
-    worker process by pickle stays valid there.
-    """
-
-    def __init__(self, region, context) -> None:
-        cells = region.local_cells
-        segments = region.segments
-        rows = sorted(context.row_indices)
-        base = self.row_base = rows[0] if rows else 0
-        self.n_rows = rows[-1] - base + 1 if rows else 0
-        row_start, row_cells = [0], []
-        row_seg_lo = [0.0] * self.n_rows
-        row_seg_hi = [0.0] * self.n_rows
-        for dense in range(self.n_rows):
-            row_cells.extend(context.row_indices.get(base + dense, ()))
-            row_start.append(len(row_cells))
-            segment = segments.get(base + dense)
-            if segment is not None:
-                row_seg_lo[dense], row_seg_hi[dense] = segment.x_lo, segment.x_hi
-        cell_row_start, cell_rows, cell_pos = [0], [], []
-        seg_lo, seg_hi = [], []
-        position = context.position_in_row
-        for lc in cells:
-            dense_rows = [row - base for row in lc.rows]
-            cell_rows.extend(dense_rows)
-            cell_pos.extend(position[(lc.local_index, row)] for row in lc.rows)
-            cell_row_start.append(len(cell_rows))
-            # Tightest segment bounds over the cell's rows, folded exactly
-            # as repro.mgl.shifting._segment_bounds_for_cell folds them.
-            seg_lo.append(max(row_seg_lo[r] for r in dense_rows))
-            seg_hi.append(min(row_seg_hi[r] for r in dense_rows))
-        rank_desc = [0] * len(cells)
-        rank_asc = [0] * len(cells)
-        for rank, idx in enumerate(context.order_desc):
-            rank_desc[idx] = rank
-        for rank, idx in enumerate(context.order_asc):
-            rank_asc[idx] = rank
-        self.n_cells = len(cells)
-        self.doubles, self.double_offsets = _pack(np.float64, (
-            ("x", [lc.x for lc in cells]),
-            ("right", [lc.right for lc in cells]),
-            ("gp_x", [lc.gp_x for lc in cells]),
-            ("seg_lo", seg_lo),
-            ("seg_hi", seg_hi),
-            ("row_seg_lo", row_seg_lo),
-            ("row_seg_hi", row_seg_hi),
-        ))
-        self.ints, self.int_offsets = _pack(np.int32, (
-            ("order_desc", context.order_desc),
-            ("order_asc", context.order_asc),
-            ("rank_desc", rank_desc),
-            ("rank_asc", rank_asc),
-            ("cell_row_start", cell_row_start),
-            ("cell_rows", cell_rows),
-            ("cell_pos", cell_pos),
-            ("row_start", row_start),
-            ("row_cells", row_cells),
-        ))
-        self.row_len = np.diff(np.array(row_start, dtype=np.int32))
-
-    def pointers(self) -> Dict[str, int]:
-        """Field name -> address, for this process's copy of the arrays."""
-        doubles, ints = self.doubles.ctypes.data, self.ints.ctypes.data
-        fields = {name: doubles + 8 * at for name, at in self.double_offsets.items()}
-        fields.update((name, ints + 4 * at) for name, at in self.int_offsets.items())
-        return fields
-
-
-def _pack(dtype, fields):
-    """Concatenate named lists into one array; returns (array, name -> offset)."""
+def _pack(typecode, fields):
+    """Concatenate named lists into one C array; returns the array and
+    each field's address in it."""
     flat: List[Any] = []
     offsets: Dict[str, int] = {}
     for name, values in fields:
         offsets[name] = len(flat)
-        flat.extend(values)
-    return np.array(flat, dtype=dtype), offsets
+        flat += values
+    packed = array(typecode, flat)
+    address = packed.buffer_info()[0]
+    return packed, {name: address + packed.itemsize * at for name, at in offsets.items()}
 
 
 class NativeFOP:
-    """Builds, loads and calls the fused kernel.
+    """Builds, loads and calls the native kernel.
 
     ``cache_dir`` overrides where the library is cached (default:
     ``_native_build/`` next to this file); ``$CC`` picks the compiler.
@@ -224,8 +159,8 @@ class NativeFOP:
                 stacklevel=4,
             )
             return None
-        lib.fop_score_region.argtypes = [ctypes.POINTER(_Region)]
-        lib.fop_score_region.restype = ctypes.c_int
+        lib.fop_search_region.argtypes = [ctypes.POINTER(_Search)]
+        lib.fop_search_region.restype = ctypes.c_int
         self.path = path
         return lib
 
@@ -252,39 +187,66 @@ class NativeFOP:
         return f"native FOP kernel: {self.path}"
 
     # ------------------------------------------------------------------
-    def score_points(self, region, target, points, context, config) -> Optional[List[tuple]]:
-        """Score ``points`` of ``region`` in one call.
+    def search_region(self, region, target, bottom_rows, context, config) -> Optional[RegionSearch]:
+        """Enumerate, score and reduce the insertion points of ``bottom_rows``.
 
         ``context`` is the region's SACS context (its once-per-region
         sort report is consumed here, as the first shift call would).
-        Returns ``evaluate_point_list``-shaped entries, or ``None`` when
-        the library is unavailable.
+        Returns the :class:`~repro.kernels.base.RegionSearch` that
+        :func:`repro.mgl.fop.search_points` returns on the reference
+        backend, with a ``None`` winner outcome, or ``None`` when the
+        library is unavailable.
         """
         lib = self.load()
         if lib is None:
             return None
-        arrays = getattr(context, "native_arrays", None)
-        if arrays is None:
-            arrays = context.native_arrays = _RegionArrays(region, context)
+        cells = region.local_cells
+        row_indices = context.row_indices
+        base = min(row_indices, default=0)
+        n_rows = max(row_indices) - base + 1 if row_indices else 0
+        row_start, row_cells = [0], []
+        row_seg_lo, row_seg_hi = [0.0] * n_rows, [0.0] * n_rows
+        for dense in range(n_rows):
+            row_cells.extend(row_indices.get(base + dense, ()))
+            row_start.append(len(row_cells))
+            segment = region.segments.get(base + dense)
+            if segment is not None:
+                row_seg_lo[dense], row_seg_hi[dense] = segment.x_lo, segment.x_hi
+        x, width, gp_x, cell_row_start, cell_rows = [], [], [], [0], []
+        for lc in cells:
+            cell = lc.cell
+            x.append(lc.x)
+            width.append(cell.width)
+            gp_x.append(cell.gp_x)
+            cell_rows += lc.rows
+            cell_row_start.append(len(cell_rows))
+        # The packed arrays must outlive the call: keep them bound.
+        doubles, pointers = _pack("d", (
+            ("x", x),
+            ("width", width),
+            ("gp_x", gp_x),
+            ("row_seg_lo", row_seg_lo),
+            ("row_seg_hi", row_seg_hi),
+        ))
+        ints, int_pointers = _pack("i", (
+            ("order_asc", context.order_asc),
+            ("cell_row_start", cell_row_start),
+            ("cell_rows", cell_rows),
+            ("row_start", row_start),
+            ("row_cells", row_cells),
+            ("bottoms", bottom_rows),
+        ))
+        pointers.update(int_pointers)
         height = target.height
-        n = len(points)
-        # Validate everything the kernel indexes with before handing it
-        # raw pointers.
-        if any(len(p.split) != height for p in points):
-            raise ValueError("insertion point does not span the target's rows")
-        bottom = np.fromiter((p.bottom_row for p in points), np.int32, n)
-        split = np.fromiter((k for p in points for _, k in p.split), np.int32, n * height)
-        bottom_dense = bottom - np.int32(arrays.row_base)
-        if n and (int(bottom_dense.min()) < 0 or int(bottom_dense.max()) + height > arrays.n_rows):
-            raise ValueError("insertion point rows lie outside the region")
-        spanned = bottom_dense[:, None] + np.arange(height, dtype=np.int32)
-        if ((split < 0) | (split > arrays.row_len[spanned].ravel())).any():
-            raise ValueError("insertion point split index outside its row")
-
-        outputs = {name: np.empty(n, dtype) for name, dtype in _OUTPUTS}
-        struct = _Region(
-            n_cells=arrays.n_cells,
-            n_rows=arrays.n_rows,
+        # At most one point per swept cell, plus the all-right one, per row.
+        capacity = len(bottom_rows) * (len(cells) + 1)
+        point_ints = array("i", bytes(4 * (_POINT_COLUMNS * capacity + height)))
+        point_scores = array("d", bytes(8 * 2 * capacity))
+        ints_at, scores_at = point_ints.buffer_info()[0], point_scores.buffer_info()[0]
+        search = _Search(
+            n_cells=len(cells),
+            row_base=base,
+            n_rows=n_rows,
             target_gp_x=target.gp_x,
             target_gp_y=target.gp_y,
             target_width=target.width,
@@ -292,39 +254,46 @@ class NativeFOP:
             height=height,
             fwd_bwd=int(config.use_fwd_bwd_pipeline),
             neumaier_sum=int(_NEUMAIER_SUM),
-            n_points=n,
-            bottom=bottom.ctypes.data,
-            bottom_dense=bottom_dense.ctypes.data,
-            split=split.ctypes.data,
-            **arrays.pointers(),
-            **{name: a.ctypes.data for name, a in outputs.items()},
+            n_bottoms=len(bottom_rows),
+            capacity=capacity,
+            point_ints=ints_at,
+            point_scores=scores_at,
+            winner_split=ints_at + point_ints.itemsize * _POINT_COLUMNS * capacity,
+            **pointers,
         )
-        if lib.fop_score_region(ctypes.byref(struct)) != 0:
+        rc = lib.fop_search_region(ctypes.byref(search))
+        if rc == _NO_MEMORY:
             raise MemoryError("native FOP kernel could not allocate its scratch memory")
+        if rc == _BAD_REGION:
+            raise ValueError("the localRegion's rows, cells and candidate rows are inconsistent")
 
-        sort_size = 0
-        if not context.consumed_sort_report:
-            sort_size = context.sort_size
-            context.consumed_sort_report = True
-        n_local = len(region.local_cells)
-        n_sub = region.total_subcells()
+        n = search.n_points
+        columns = [point_ints[k * capacity : k * capacity + n].tolist() for k in range(_POINT_COLUMNS)]
+        n_local = len(cells)
+        n_sub = len(cell_rows)  # the kernel checked it against the rows
         visits = 2 * context.sort_size
         multirow = 2 * context.multirow_cells
         tall = 2 * context.tall_cells
-        entries = []
-        for i, (point, status, best_x, cost, n_left, n_right, n_bp, n_merged) in enumerate(
-            zip(points, *(outputs[name].tolist() for name, _ in _OUTPUTS))
-        ):
-            scored = status == _SCORED
-            work = InsertionPointWork(
-                n_local, n_sub, 2, visits, n_left, n_right, n_bp, n_merged,
-                sort_size if i == 0 else 0, multirow, tall, scored,
+        works = [
+            InsertionPointWork(
+                n_local, n_sub, 2, visits, n_left, n_right, n_bp, n_merged, 0, multirow, tall,
+                feasible == 1,
             )
-            if scored:
-                entries.append((point, best_x, cost, None, work))
-            else:
-                entries.append((point, None, math.inf, None, work))
-        return entries
+            for feasible, n_left, n_right, n_bp, n_merged in zip(*columns)
+        ]
+        if works and not context.consumed_sort_report:
+            works[0].sort_size = context.sort_size
+            context.consumed_sort_report = True
+        sites = point_scores[:n].tolist()
+        costs = point_scores[capacity : capacity + n].tolist()
+        winner = None
+        if search.winner >= 0:
+            bottom = search.winner_bottom
+            rows = tuple(range(bottom, bottom + height))
+            split = point_ints[_POINT_COLUMNS * capacity :].tolist()
+            insertion = InsertionPoint(bottom, rows, tuple(zip(rows, split)))
+            winner = (insertion, sites[search.winner], costs[search.winner], None)
+        return RegionSearch(works, sites, costs, search.n_feasible, winner)
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
-"""NumPy kernel backend: the Python reference plus the fused native kernel.
+"""NumPy kernel backend: the Python reference plus the native region search.
 
-For SACS configurations FOP first offers a region's whole
-insertion-point list to :meth:`NumpyKernelBackend.score_points`, which
-scores it in one call into the C kernel of :mod:`repro.kernels.native`
-(SACS shifting, curves, minimization and snapping, bit for bit equal to
-the reference).  Everything else — the original shifter's staged curve
-pipeline, single SACS shifts (FOP re-deriving the winner's outcome) and
-every SACS region on a host that cannot build the kernel — runs the
-scalar reference inherited from
+For SACS configurations FOP hands each region's candidate bottom rows to
+:meth:`NumpyKernelBackend.search_region` before any Python enumeration.
+One call into the C kernel of :mod:`repro.kernels.native` then
+enumerates the region's insertion points, scores each (SACS shifting,
+curves, minimization and snapping) and reduces them to the winner, bit
+for bit equal to the reference.  Everything else — the original
+shifter's staged curve pipeline, single SACS shifts (FOP re-deriving the
+winner's outcome) and every SACS region on a host that cannot build the
+kernel — runs the scalar reference inherited from
 :class:`~repro.kernels.python_backend.PythonKernelBackend`.
 
-The backend is registered only when numpy is importable, because the
-kernel's packed region arrays are numpy arrays.
+The backend is registered only when numpy is importable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.kernels.python_backend import PythonKernelBackend
 
 
 class NumpyKernelBackend(PythonKernelBackend):
-    """The reference kernels, with SACS regions scored by the native kernel."""
+    """The reference kernels, with SACS regions searched by the native kernel."""
 
     name = "numpy"
 
@@ -35,23 +35,23 @@ class NumpyKernelBackend(PythonKernelBackend):
                 "the 'numpy' kernel backend requires numpy; install it or "
                 "select backend='python'"
             )
-        from repro.kernels.native import NativeFOP  # imports numpy unconditionally
+        from repro.kernels.native import NativeFOP  # imports repro.mgl, which imports us
 
-        #: The fused C kernel scoring whole SACS regions (built lazily).
+        #: The C kernel searching whole SACS regions (built lazily).
         self.native = NativeFOP()
 
-    def score_points(self, region, target, points, config):
-        """Score a SACS region's insertion points in one native call.
+    def search_region(self, region, target, bottom_rows, config):
+        """Search a SACS region's insertion points in one native call.
 
-        Returns ``None`` (FOP then runs the staged reference pipeline)
-        for other shifters, an empty point list, or a host on which the
+        Returns ``None`` (FOP then enumerates and runs the staged
+        reference pipeline) for other shifters, or on a host on which the
         kernel cannot be built; see :mod:`repro.kernels.native`.
         """
         from repro.core.sacs import SortAheadShifter  # repro.core imports this module
 
         shifter = config.shifter
-        if not points or not isinstance(shifter, SortAheadShifter):
+        if not isinstance(shifter, SortAheadShifter):
             return None
-        return self.native.score_points(
-            region, target, points, shifter.context_for(region), config
+        return self.native.search_region(
+            region, target, bottom_rows, shifter.context_for(region), config
         )

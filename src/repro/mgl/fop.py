@@ -14,7 +14,12 @@ CPU cost models and the FPGA cycle models can replay it.
 The numeric inner loops (curve construction, minimization, snapping) are
 delegated to a pluggable kernel backend (:mod:`repro.kernels`) selected
 through :attr:`FOPConfig.backend`; the reference ``build_curves`` below
-is the pure-Python oracle the backends must match bit for bit.
+is the pure-Python oracle the backends must match bit for bit.  A
+backend may also take over the whole search of a region — enumeration,
+scoring and reduction — in one step
+(:meth:`~repro.kernels.base.KernelBackend.search_region`; the ``numpy``
+backend's native kernel does so for SACS); :func:`search_points` is the
+Python reference of that step.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.geometry.cell import Cell
 from repro.geometry.region import LocalRegion
 from repro.kernels import BackendSpec, KernelBackend, resolve_backend
+from repro.kernels.base import RegionSearch
 from repro.mgl.curves import (
     BreakpointPiece,
     left_shift_curve,
@@ -41,6 +47,13 @@ from repro.mgl.shifting import OriginalShifter, ShiftOutcome
 from repro.perf.counters import InsertionPointWork, TargetCellWork
 
 _EPS = 1e-9
+
+#: One scored insertion point: ``(insertion, best_x, cost, outcome, work)``
+#: (``best_x`` is ``None`` for an infeasible point; ``outcome`` may be
+#: ``None`` for points scored in a worker process).
+ScoredPoint = Tuple[
+    InsertionPoint, Optional[float], float, Optional[ShiftOutcome], InsertionPointWork
+]
 
 
 @dataclass
@@ -61,9 +74,6 @@ class FOPConfig:
         Cost of one row of vertical displacement expressed in site widths
         (rows are several sites tall in physical units), so that FOP
         trades off vertical against horizontal displacement consistently.
-    max_points_per_row:
-        Optional cap on the number of insertion points enumerated per
-        candidate bottom row (used only by approximate baseline models).
     backend:
         Kernel backend evaluating the numeric hot paths (curve
         construction, minimization, snapping): a registered backend name
@@ -76,7 +86,6 @@ class FOPConfig:
     shifter: object = field(default_factory=OriginalShifter)
     use_fwd_bwd_pipeline: bool = False
     vertical_cost_factor: float = 10.0
-    max_points_per_row: Optional[int] = None
     backend: BackendSpec = None
 
 
@@ -92,6 +101,7 @@ class FOPResult:
     outcome: Optional[ShiftOutcome] = None
     n_points_evaluated: int = 0
     n_points_feasible: int = 0
+    n_candidate_rows: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -233,58 +243,92 @@ def find_optimal_position(
     config = config or FOPConfig()
     backend = resolve_backend(config.backend)
     config.shifter.prepare(region)
-    result = FOPResult(feasible=False)
+    bottom_rows = candidate_bottom_rows(region, target)
+    # A backend with a whole-region search (the native kernel) enumerates,
+    # scores and reduces the points in one call, before any Python
+    # enumeration.
+    search = backend.search_region(region, target, bottom_rows, config)
+    if search is None:
+        search = search_points(region, target, bottom_rows, config, backend)
+    if work is not None:
+        work.extend_insertion_points(search.works)
+    result = FOPResult(
+        feasible=search.winner is not None,
+        n_points_evaluated=len(search.works),
+        n_points_feasible=search.n_feasible,
+        n_candidate_rows=len(bottom_rows),
+    )
+    if search.winner is not None:
+        insertion, result.x, result.cost, outcome = search.winner
+        if outcome is None:
+            # Parallel and native paths: re-derive the winning point's
+            # shift outcome (the shifting chains are pure functions of the
+            # region state).
+            outcome = config.shifter.shift(region, target, insertion)
+        result.bottom_row = insertion.bottom_row
+        result.insertion = insertion
+        result.outcome = outcome
+    return result
 
+
+def search_points(
+    region: LocalRegion,
+    target: Cell,
+    bottom_rows: Sequence[int],
+    config: FOPConfig,
+    backend: KernelBackend,
+) -> RegionSearch:
+    """The reference whole-region search: enumerate, score, reduce.
+
+    Enumerates the insertion points of every bottom row in
+    ``bottom_rows`` (loop1 x loop2), scores them with the staged
+    kernels and reduces them with :func:`reduce_points`.
+    """
     points: List[InsertionPoint] = []
-    for bottom_row in candidate_bottom_rows(region, target):
-        points.extend(
-            enumerate_insertion_points(
-                region, target, bottom_row, max_points=config.max_points_per_row
-            )
-        )
+    for bottom_row in bottom_rows:
+        points.extend(enumerate_insertion_points(region, target, bottom_row))
+    if backend.supports_point_parallel and backend.should_parallelize_fop(
+        region, points, config
+    ):
+        # Intra-region parallelism (the paper's FOP-PE axis): the point
+        # loop is chunked across worker processes; each chunk runs the
+        # exact sequential stages below, and the reduction replays the
+        # full per-point sequence in enumeration order, so results and
+        # work records are bit-for-bit identical.  Outcomes are not
+        # shipped back; the winner's is recomputed locally.
+        scored = backend.evaluate_points_parallel(region, target, points, config)
+    else:
+        scored = evaluate_point_list(region, target, points, config, backend)
+    return reduce_points(scored, target.gp_x)
 
-    # A fused backend scores the whole region in one call, which costs
-    # less than shipping the region to worker processes.
-    scored = backend.score_points(region, target, points, config)
-    if scored is None:
-        if backend.supports_point_parallel and backend.should_parallelize_fop(
-            region, points, config
-        ):
-            # Intra-region parallelism (the paper's FOP-PE axis): the point
-            # loop is chunked across worker processes; each chunk runs the
-            # exact sequential stages below, and the reduction replays the
-            # full per-point sequence in enumeration order, so results and
-            # work records are bit-for-bit identical.  Outcomes are not
-            # shipped back; the winner's is recomputed locally.
-            scored = backend.evaluate_points_parallel(region, target, points, config)
-        else:
-            scored = evaluate_point_list(region, target, points, config, backend)
 
-    # Reduction to the winning point, in enumeration order.
+def reduce_points(scored: Sequence[ScoredPoint], gp_x: float) -> RegionSearch:
+    """Reduce scored points to the winner, in enumeration order.
+
+    A strictly lower cost (beyond the epsilon) wins; an equal cost wins
+    only when its site is strictly closer to the target's global x.
+    """
+    works: List[InsertionPointWork] = []
+    sites: List[float] = []
+    costs: List[float] = []
+    n_feasible = 0
+    winner = None
+    best_cost = math.inf
     for insertion, best_x, cost, outcome, ip_work in scored:
-        result.n_points_evaluated += 1
-        if work is not None:
-            work.add_insertion_point(ip_work)
+        works.append(ip_work)
+        sites.append(math.nan if best_x is None else best_x)
+        costs.append(cost)
         if best_x is None:
             continue
-        result.n_points_feasible += 1
-        better = cost < result.cost - _EPS
-        tie = abs(cost - result.cost) <= _EPS and result.x is not None and abs(
-            best_x - target.gp_x
-        ) < abs(result.x - target.gp_x)
+        n_feasible += 1
+        better = cost < best_cost - _EPS
+        tie = abs(cost - best_cost) <= _EPS and winner is not None and abs(
+            best_x - gp_x
+        ) < abs(winner[1] - gp_x)
         if better or tie:
-            result.feasible = True
-            result.cost = cost
-            result.x = best_x
-            result.bottom_row = insertion.bottom_row
-            result.insertion = insertion
-            result.outcome = outcome
-    if result.feasible and result.outcome is None:
-        # Parallel and fused paths: re-derive the winning point's shift
-        # outcome (the shifting chains are pure functions of the region
-        # state).
-        result.outcome = config.shifter.shift(region, target, result.insertion)
-    return result
+            best_cost = cost
+            winner = (insertion, best_x, cost, outcome)
+    return RegionSearch(works, sites, costs, n_feasible, winner)
 
 
 def evaluate_point_list(
@@ -293,20 +337,15 @@ def evaluate_point_list(
     points: Sequence[InsertionPoint],
     config: FOPConfig,
     backend: Optional[KernelBackend] = None,
-) -> List[Tuple[InsertionPoint, Optional[float], float, Optional[ShiftOutcome], InsertionPointWork]]:
+) -> List[ScoredPoint]:
     """Run the FOP stages over an explicit insertion-point list.
 
     Returns one ``(insertion, best_x, best_cost, outcome, work)`` entry
     per point, in input order (``best_x`` is ``None`` for infeasible
     points).  This is the unit the multiprocess backend chunks across
-    workers; the caller owns the reduction.  Backends with a fused path
-    (:meth:`~repro.kernels.base.KernelBackend.score_points`) score the
-    whole list in one step and leave the outcomes ``None``.
+    workers; the caller owns the reduction.
     """
     backend = backend or resolve_backend(config.backend)
-    fused = backend.score_points(region, target, points, config)
-    if fused is not None:
-        return fused
 
     # Stage 1 — cell shifting for every candidate insertion point, in
     # enumeration order (the shifter's once-per-region counters and the

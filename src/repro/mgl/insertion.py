@@ -21,7 +21,7 @@ describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.geometry.cell import Cell
 from repro.geometry.region import LocalRegion
@@ -132,17 +132,11 @@ def _combination_feasible(
 
 
 def enumerate_insertion_points(
-    region: LocalRegion,
-    target: Cell,
-    bottom_row: int,
-    *,
-    max_points: Optional[int] = None,
+    region: LocalRegion, target: Cell, bottom_row: int
 ) -> List[InsertionPoint]:
     """Enumerate the distinct insertion points for one candidate bottom row.
 
-    Points are produced in left-to-right sweep order.  ``max_points``
-    optionally truncates the enumeration (used by the approximate GPU
-    baseline model); the reference legalizers always evaluate all points.
+    Points are produced in left-to-right sweep order.
     """
     rows = tuple(range(bottom_row, bottom_row + target.height))
     for row in rows:
@@ -180,22 +174,14 @@ def enumerate_insertion_points(
 
     emit()
     for _, _, covered in events:
-        if max_points is not None and len(points) >= max_points:
-            break
         for row in covered:
             if row in rows_set:
                 split[row] += 1
         emit()
-    if max_points is not None:
-        return points[:max_points]
     return points
 
 
-def enumerate_all_insertion_points(
-    region: LocalRegion, target: Cell, *, max_points_per_row: Optional[int] = None
-) -> Iterator[InsertionPoint]:
+def enumerate_all_insertion_points(region: LocalRegion, target: Cell) -> Iterator[InsertionPoint]:
     """Enumerate insertion points over all candidate bottom rows (loop1 x loop2)."""
     for bottom in candidate_bottom_rows(region, target):
-        yield from enumerate_insertion_points(
-            region, target, bottom, max_points=max_points_per_row
-        )
+        yield from enumerate_insertion_points(region, target, bottom)

@@ -360,6 +360,7 @@ class MGLLegalizer:
         # so each retry rescans only the newly exposed strips and reuses
         # the per-row obstacle lists already gathered for the region.
         builder = RegionBuilder(layout, target)
+        reason = None
         for retry in range(self.max_retries + 1):
             region, scanned = builder.build(window)
             work.window_retries = retry
@@ -373,6 +374,11 @@ class MGLLegalizer:
                 if moved is not None:
                     work.update_moved_cells = moved
                     return True, work
+                reason = "commit_rejected"
+            elif result.n_candidate_rows == 0:
+                reason = "no_candidate_row"
+            else:
+                reason = "no_feasible_point"
             # Grow the window and retry.
             window = window.expanded(
                 dx=window.width * (self.window_expansion - 1.0) / 2.0 + target.width,
@@ -382,8 +388,10 @@ class MGLLegalizer:
             )
         # Fallback: direct nearest-free-space search over the whole chip.
         work.fallback_used = True
+        work.fail_reason = reason
         position = self._fallback_position(layout, target)
         if position is None:
+            work.fail_reason = "no_free_slot"
             return False, work
         x, bottom = position
         layout.mark_legalized(target, x, float(bottom))

@@ -22,7 +22,7 @@ The granularity mirrors the decomposition of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 #: The six operations inside the FOP inner loop, in paper order (Fig. 3(e)).
@@ -112,13 +112,20 @@ class TargetCellWork:
     to the geometric base window before retry 0 (0 when the base window
     already held enough free capacity, or the planner was disabled)."""
     fallback_used: bool = False
+    fail_reason: Optional[str] = None
+    """Why the window retries did not place the cell, or ``None`` when
+    one did: the last retry's ``"no_candidate_row"`` (no bottom row of the
+    region could host the target), ``"no_feasible_point"`` (no insertion
+    point admitted a legal position) or ``"commit_rejected"`` (the commit
+    check refused the winner); ``"no_free_slot"`` when the whole-chip
+    fallback then found no free slot either (the cell stays unplaced)."""
     region_transfer_words: int = 0
     update_moved_cells: int = 0
     insertion_points: List[InsertionPointWork] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    def add_insertion_point(self, work: InsertionPointWork) -> None:
-        self.insertion_points.append(work)
+    def extend_insertion_points(self, works: Iterable[InsertionPointWork]) -> None:
+        self.insertion_points.extend(works)
         self.n_insertion_points = len(self.insertion_points)
 
     @property

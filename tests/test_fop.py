@@ -270,11 +270,6 @@ class TestFOP:
         brute = min(evaluate_piecewise(pieces, const, float(x)) for x in xs)
         assert cost == pytest.approx(brute, abs=1e-9)
 
-    def test_max_points_per_row_cap(self):
-        _, target, region = self._simple_case()
-        capped = find_optimal_position(region, target, FOPConfig(max_points_per_row=1))
-        assert capped.n_points_evaluated <= 2  # one per candidate bottom row
-
 
 # ----------------------------------------------------------------------
 # Insert & update

@@ -13,7 +13,8 @@ from repro.mgl import MGLLegalizer
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import size_descending_order
 
-from repro.testing import small_design
+from repro.geometry import Cell
+from repro.testing import add_target, make_layout, small_design
 
 
 class TestMGLLegalizer:
@@ -172,3 +173,68 @@ class TestFlexLegalizer:
         result = FlexLegalizer().legalize(tiny_design)
         text = result.summary()
         assert "AveDis" in text and "ms" in text
+
+
+# ----------------------------------------------------------------------
+# Why a target fell back or failed
+# ----------------------------------------------------------------------
+class TestFailReason:
+    """``TargetCellWork.fail_reason``, pinned on hand-built layouts with a
+    single window attempt (no retries, no planner growth)."""
+
+    @staticmethod
+    def _work(layout, target):
+        legalizer = MGLLegalizer(max_retries=0, use_window_planner=False)
+        result = legalizer.legalize(layout)
+        (work,) = [w for w in result.trace.targets if w.cell_index == target.index]
+        return result, work
+
+    @staticmethod
+    def _fixed(layout, x, width, row=0, height=1):
+        layout.add_cell(Cell(
+            index=len(layout.cells), width=width, height=height, gp_x=x, gp_y=float(row),
+            x=x, y=float(row), fixed=True,
+        ))
+
+    def test_placed_in_its_window_has_no_reason(self):
+        layout = make_layout(1, 60, [(10.0, 0.0, 4.0, 1)])
+        target = add_target(layout, 30.0, 0.0, 3.0, 1)
+        result, work = self._work(layout, target)
+        assert result.success and not work.fallback_used and work.fail_reason is None
+
+    def test_no_candidate_row(self):
+        # The window lies inside a macro; the only free space is far away.
+        layout = make_layout(1, 200, [])
+        self._fixed(layout, 0.0, 100.0)
+        target = add_target(layout, 50.0, 0.0, 3.0, 1)
+        result, work = self._work(layout, target)
+        assert result.success and work.fallback_used
+        assert work.fail_reason == "no_candidate_row"
+
+    def test_no_feasible_point(self):
+        # The window's segment is wide enough for the target but already
+        # holds 15 of its 20 sites: no split passes the capacity filter.
+        layout = make_layout(1, 200, [(40.0, 0.0, 5.0, 1), (47.0, 0.0, 5.0, 1), (54.0, 0.0, 5.0, 1)])
+        self._fixed(layout, 0.0, 40.0)
+        self._fixed(layout, 60.0, 90.0)
+        target = add_target(layout, 50.0, 0.0, 6.0, 1)
+        result, work = self._work(layout, target)
+        assert result.success and work.fallback_used and work.n_insertion_points == 0
+        assert work.fail_reason == "no_feasible_point"
+
+    def test_commit_rejected(self):
+        # Two localCells already overlap, so the commit check refuses any
+        # winner that leaves them in place.
+        layout = make_layout(1, 100, [(30.0, 0.0, 4.0, 1), (32.0, 0.0, 4.0, 1)])
+        target = add_target(layout, 25.0, 0.0, 2.0, 1)
+        result, work = self._work(layout, target)
+        assert result.success and work.fallback_used
+        assert work.fail_reason == "commit_rejected"
+
+    def test_no_free_slot(self):
+        layout = make_layout(1, 20, [])
+        self._fixed(layout, 0.0, 20.0)
+        target = add_target(layout, 5.0, 0.0, 3.0, 1)
+        result, work = self._work(layout, target)
+        assert not result.success and target.index in result.failed_cells
+        assert work.fail_reason == "no_free_slot"

@@ -47,8 +47,9 @@ def make_trace(n_targets: int = 10, ips_per_target: int = 5, **ip_kwargs) -> Leg
         work.n_local_cells = defaults["n_local_cells"]
         work.region_transfer_words = 120
         work.update_moved_cells = 2
-        for _ in range(ips_per_target):
-            work.add_insertion_point(InsertionPointWork(**defaults))
+        work.extend_insertion_points(
+            InsertionPointWork(**defaults) for _ in range(ips_per_target)
+        )
         trace.add_target(work)
         trace.update_ops += 3
     return trace

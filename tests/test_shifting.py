@@ -99,11 +99,6 @@ class TestInsertionEnumeration:
             right = set(point.right_cell_indices(region))
             assert not (left & right)
 
-    def test_max_points_cap(self):
-        _, target, region = chain_region()
-        points = enumerate_insertion_points(region, target, 0, max_points=2)
-        assert len(points) == 2
-
     def test_infeasible_width_filtered(self):
         layout = make_layout(2, 12, [(0.0, 0.0, 5.0, 1), (6.0, 0.0, 5.0, 1)])
         target = add_target(layout, 5.0, 0.0, 6.0, 1)
