@@ -143,13 +143,13 @@ def test_bench_fop_single_target(benchmark, shifting_case):
 # Kernel-backend comparisons (python reference vs the numpy backend's
 # fused native kernel vs multiprocess point chunking)
 # ----------------------------------------------------------------------
-#: Always the live registry — never hard-code backend names here, or new
-#: backends silently stop being benched and equivalence-checked.
+#: Always the resolver's backend list — never hard-code backend names
+#: here, or new backends silently stop being benched and equivalence-checked.
 BACKENDS = available_backends()
 
 
-def test_bench_parametrization_tracks_registry():
-    """Guard: the bench matrix must follow the backend registry."""
+def test_bench_parametrization_tracks_available_backends():
+    """Guard: the bench matrix must follow the resolver's backend list."""
     assert BACKENDS == available_backends()
     assert "python" in BACKENDS
     assert "multiprocess" in BACKENDS

@@ -128,8 +128,15 @@ def _save_layout(layout: Layout, path: Path) -> None:
 
 
 def _make_legalizer(backend: str):
+    """The CLI's legalizer on ``backend``, resolved up front so that a bad
+    spelling is a one-line user error before any work starts."""
+    from repro.kernels import get_kernel_backend
     from repro.mgl.legalizer import fast_mgl_legalizer
 
+    try:
+        get_kernel_backend(backend)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     return fast_mgl_legalizer(backend)
 
 
@@ -157,9 +164,9 @@ def _print_run(layout: Layout, result, *, check: bool = True) -> int:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_legalize(args: argparse.Namespace) -> int:
+    legalizer = _make_legalizer(args.backend)
     layout = _load_layout(args.design)
     print("input design :", layout.summary())
-    legalizer = _make_legalizer(args.backend)
     result = legalizer.legalize(layout)
     status = _print_run(layout, result)
     if args.output is not None:
@@ -171,6 +178,7 @@ def cmd_legalize(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.benchgen import DesignSpec, generate_design
 
+    legalizer = _make_legalizer(args.backend)
     spec = DesignSpec(
         name="bench",
         num_cells=args.cells,
@@ -179,7 +187,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     layout = generate_design(spec)
     print("design       :", layout.summary())
-    legalizer = _make_legalizer(args.backend)
     start = time.perf_counter()
     result = legalizer.legalize(layout)
     wall = time.perf_counter() - start
@@ -215,6 +222,7 @@ def cmd_eco(args: argparse.Namespace) -> int:
     from repro.legality import LegalityChecker
     from repro.perf.report import incremental_summary
 
+    legalizer = _make_legalizer(args.backend)
     layout = _load_layout(args.design)
     if args.generate:
         from repro.benchgen import EcoSpec, generate_eco_stream
@@ -241,7 +249,7 @@ def cmd_eco(args: argparse.Namespace) -> int:
     stream = _load_stream(args.deltas)
     print("input design :", layout.summary())
     engine = IncrementalLegalizer(
-        _make_legalizer(args.backend),
+        legalizer,
         full_threshold=args.churn_threshold,
         **_drift_knobs(args),
     )

@@ -49,11 +49,6 @@ def run_eco_churn(
     Rows report the summed per-batch wall times, the speedup, the mean
     dirty fraction, and the final AveDis of both paths.
     """
-    from repro.kernels import available_backends
-
-    if backend not in available_backends():  # pragma: no cover - numpy-less env
-        backend = "python"
-
     rows = []
     for churn in churn_rates:
         base = iccad2017_design(name, scale=scale, seed=seed)

@@ -70,11 +70,6 @@ def soak_layout(
                    "drift_vs_full": ..., "repacks": ...,
                    "speedup_estimate": ..., ...}}
     """
-    from repro.kernels import available_backends
-
-    if backend not in available_backends():  # pragma: no cover - numpy-less env
-        backend = "python"
-
     engine = IncrementalLegalizer(
         _make_legalizer(backend),
         full_threshold=full_threshold,

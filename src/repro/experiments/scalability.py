@@ -95,13 +95,11 @@ def run_worker_scalability(
     rather than the one-off fork latency of the first run.
     """
     from repro.benchgen import iccad2017_design
-    from repro.kernels import MultiprocessKernelBackend, available_backends
+    from repro.kernels import MultiprocessKernelBackend
     from repro.mgl.fop import FOPConfig
     from repro.mgl.legalizer import MGLLegalizer
     from repro.core.sacs import SortAheadShifter
 
-    if baseline_backend not in available_backends():  # pragma: no cover
-        baseline_backend = "python"
     repeat = max(1, int(repeat))
 
     def run_once(backend):

@@ -18,7 +18,7 @@ tracks *dirty state across calls*:
 3. :class:`IncrementalLegalizer` then re-legalizes *only* the dirty set
    through :meth:`repro.mgl.legalizer.MGLLegalizer.legalize_subset`,
    reusing the existing processing ordering, occupancy-aware window
-   planner and whatever kernel backend is registered (including
+   planner and whatever kernel backend is selected (including
    ``multiprocess``) completely unchanged.  When dirtiness exceeds a
    configurable threshold it falls back to a full re-legalization, where
    a from-scratch run is cheaper than chasing a huge dirty set.

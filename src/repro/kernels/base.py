@@ -1,4 +1,4 @@
-"""The kernel-backend interface.
+"""The kernel-backend reference class.
 
 A *kernel backend* supplies the numeric inner loops of the legalizer —
 the paths FLEX offloads to the FPGA and that dominate CPU runtime:
@@ -24,21 +24,30 @@ backend's other methods consume it.  Callers must therefore run
 build/minimize/evaluate against a single backend instance, which is how
 FOP uses them.  A backend can also run FOP's whole search over a region
 (enumerate, score and reduce its insertion points) in one step
-(:meth:`KernelBackend.search_region`); the ``numpy`` backend does so for
-SACS regions in its native kernel and inherits the reference for
-everything else.
+(:meth:`KernelBackend.search_region`).  The backends form one chain:
+the ``numpy`` backend subclasses the reference and searches SACS regions
+in its native kernel, and the ``multiprocess`` backend subclasses
+``numpy`` and chunks heavy original-shifter regions across a worker
+pool.
 
 Every backend must be *bit-for-bit equivalent* to the pure-Python
 reference: same optima, same costs, same shift thresholds, same work
-counters.  The equivalence is enforced by ``tests/test_kernels.py``;
-adding a new backend means subclassing :class:`KernelBackend`,
-registering it via :func:`repro.kernels.register_backend` and passing
-those tests.
+counters.  :class:`KernelBackend` itself is that reference (the
+``python`` backend): its methods delegate to the scalar functions that
+live next to the algorithms they model (:mod:`repro.mgl.curves`,
+:mod:`repro.mgl.fop`, :mod:`repro.core.sacs`).  Those functions are the
+*oracle* and stay readable, paper-shaped Python for exactly that reason;
+the equivalence of every other backend is enforced by
+``tests/test_kernels.py``.
+
+The delegated modules are imported lazily inside the methods because
+:mod:`repro.kernels` is itself imported by ``repro.mgl.fop`` and
+``repro.core.sacs`` — a module-level import in either direction would be
+circular.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -69,21 +78,11 @@ class RegionSearch(NamedTuple):
     winner: Optional[Tuple["InsertionPoint", float, float, Optional["ShiftOutcome"]]]
 
 
-class KernelBackend(ABC):
-    """Abstract base class of the pluggable kernel implementations."""
+class KernelBackend:
+    """The scalar reference implementation of every kernel (``python``)."""
 
-    #: Registry / configuration name of the backend (``"python"``, ...).
-    name: str = "abstract"
-
-    #: True for backends that parallelise the FOP candidate loop *within*
-    #: one localRegion across OS processes (the paper's FOP-PE axis; see
-    #: :mod:`repro.kernels.mp_backend`).  Such backends additionally
-    #: implement ``should_parallelize_fop(region, points, config)`` and
-    #: ``evaluate_points_parallel(region, target, points, config)``;
-    #: :func:`repro.mgl.fop.find_optimal_position` calls them per region
-    #: that :meth:`search_region` does not search.  Each region farmed out
-    #: is counted in :attr:`parallel_regions`.
-    supports_point_parallel: bool = False
+    #: Configuration name of the backend (``"python"``, ...).
+    name: str = "python"
 
     #: Processes that execute FOP work: 1 for sequential backends, the
     #: pool size for process-parallel ones.
@@ -96,7 +95,6 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------
     # Displacement-curve kernels
     # ------------------------------------------------------------------
-    @abstractmethod
     def build_curves(
         self,
         region: "LocalRegion",
@@ -110,8 +108,10 @@ class KernelBackend(ABC):
         Returns an opaque curve set consumed by :meth:`minimize` and
         :meth:`evaluate` of the same backend.
         """
+        from repro.mgl.fop import build_curves
 
-    @abstractmethod
+        return build_curves(region, target, bottom_row, outcome, vertical_cost_factor)
+
     def minimize(
         self,
         curves: Any,
@@ -127,10 +127,18 @@ class KernelBackend(ABC):
         operation structure instead of the original five-stage pipeline;
         both organisations return the same optimum.
         """
+        from repro.mgl.curves import minimize_curves, minimize_curves_fwd_bwd
 
-    @abstractmethod
+        pieces, constant = curves
+        minimizer = minimize_curves_fwd_bwd if fwd_bwd else minimize_curves
+        return minimizer(pieces, constant, lo, hi, preferred_x=preferred_x)
+
     def evaluate(self, curves: Any, xs: Sequence[float]) -> List[float]:
         """Exact summed-curve values at each query position in ``xs``."""
+        from repro.mgl.curves import evaluate_piecewise
+
+        pieces, constant = curves
+        return [evaluate_piecewise(pieces, constant, x) for x in xs]
 
     # ------------------------------------------------------------------
     # Batched cross-insertion-point kernels
@@ -191,16 +199,12 @@ class KernelBackend(ABC):
     # ------------------------------------------------------------------
     # SACS kernels
     # ------------------------------------------------------------------
-    @abstractmethod
     def build_sacs_context(self, region: "LocalRegion") -> "SACSContext":
-        """Pre-sort a localRegion for sort-ahead cell shifting.
+        """Pre-sort a localRegion for sort-ahead cell shifting."""
+        from repro.core.sacs import build_sacs_context
 
-        The returned context must be (a subclass of)
-        :class:`repro.core.sacs.SACSContext` so that the reference
-        algorithm can always run on it.
-        """
+        return build_sacs_context(region)
 
-    @abstractmethod
     def shift_sacs(
         self,
         region: "LocalRegion",
@@ -209,6 +213,9 @@ class KernelBackend(ABC):
         context: "SACSContext",
     ) -> "ShiftOutcome":
         """Single-pass SACS chain evaluation for one insertion point."""
+        from repro.core.sacs import shift_cells_sacs
+
+        return shift_cells_sacs(region, target, insertion, context)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

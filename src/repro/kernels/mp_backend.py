@@ -4,16 +4,17 @@ The paper speeds up legalization by pipelining *inside* FOP, across the
 insertion points of one localRegion (its FOP-PE axis), not by running
 regions in parallel: Sec. 5.4 shows that region-level CPU threading
 saturates on dense designs.  This backend is the host-side counterpart
-of that axis.  When a region's candidate loop is heavy enough
-(:meth:`MultiprocessKernelBackend.should_parallelize_fop`), its
-insertion points are chunked across worker processes; each worker runs
-the exact sequential FOP stages on its chunk, and the parent reassembles
-the scored points in enumeration order, so placements and work records
-are **bit-for-bit identical** to the sequential reference.
-
-Only the original shifter's staged pipeline is farmed out.  SACS regions
-go to the inner backend's native region search, which searches a whole
-region in less time than shipping it to a worker.
+of that axis.  It is the ``numpy`` backend plus a worker pool, and its
+:meth:`~MultiprocessKernelBackend.search_region` makes the whole
+point-parallel decision.  SACS regions go to the inherited native region
+search, which searches a whole region in less time than shipping it to
+a worker.  Any other region is enumerated once; when its candidate loop
+is heavy enough (:meth:`MultiprocessKernelBackend.should_parallelize_fop`,
+original shifter only) its insertion points are chunked across worker
+processes, each worker runs the exact sequential FOP stages on its chunk
+and the parent reassembles the scored points in enumeration order, so
+placements and work records are **bit-for-bit identical** to the
+sequential reference.  Lighter regions are scored in-process.
 
 **One persistent pool.**  Workers are forked lazily on the first region
 that needs them and reused by every later region and run (critical for
@@ -22,11 +23,6 @@ context-manager exit, or a :mod:`weakref` finalizer when the backend is
 dropped or the interpreter exits.  A task is one pickled ``(region,
 target, params)`` blob plus a point chunk; workers keep no state between
 tasks.
-
-The staged kernel methods (curves, minimization, SACS chains) are the
-inherited Python reference, and the whole-region search delegates to
-the inner sequential backend, so ``"multiprocess"`` is also a valid drop-in
-kernel backend for per-region work.
 """
 
 from __future__ import annotations
@@ -37,7 +33,8 @@ import pickle
 import weakref
 from typing import List, Optional, Tuple
 
-from repro.kernels.python_backend import PythonKernelBackend
+from repro.kernels.base import KernelBackend
+from repro.kernels.numpy_backend import NumpyKernelBackend
 from repro.obs import metrics as obs_metrics
 
 #: Environment variable overriding the default worker count (used by the
@@ -114,20 +111,19 @@ def _decode_work(values: Tuple):
 
 
 def _evaluate_points(payload):
-    """Evaluate one insertion-point chunk with the sequential FOP stages.
+    """Evaluate one insertion-point chunk with the reference FOP stages.
 
     ``payload`` is ``(blob, points)`` where ``blob`` is the pickled
     ``(region, target, params)`` broadcast; returns one ``(best_x, cost,
     work_tuple)`` triple per point.  Stateless: the region travels with
     the task, so any pool worker can serve any region of any run.
     """
-    from repro.kernels import get_kernel_backend
     from repro.mgl.fop import FOPConfig, evaluate_point_list
     from repro.mgl.shifting import OriginalShifter
 
     blob, points = payload
     region, target, params = pickle.loads(blob)
-    backend = get_kernel_backend(params["inner"])
+    backend = KernelBackend()
     shifter = OriginalShifter()
     config = FOPConfig(
         shifter=shifter,
@@ -229,7 +225,7 @@ def _shutdown_pool(workers: List[_PoolWorkerHandle]) -> None:
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
-class MultiprocessKernelBackend(PythonKernelBackend):
+class MultiprocessKernelBackend(NumpyKernelBackend):
     """Chunks heavy FOP regions' insertion points across worker processes.
 
     Parameters
@@ -237,11 +233,6 @@ class MultiprocessKernelBackend(PythonKernelBackend):
     workers:
         Pool size; defaults to ``$REPRO_MP_WORKERS`` or
         ``min(8, cpu_count)``.  Results never depend on the worker count.
-    inner:
-        Sequential backend executing the numeric kernels inside each
-        worker and searching whole regions (:meth:`search_region`) in
-        the parent.  Defaults to ``"numpy"`` when available, else
-        ``"python"``.
 
     The worker pool is **persistent**: forked lazily on first use and
     reused by every subsequent region until :meth:`close` (also invoked
@@ -251,7 +242,6 @@ class MultiprocessKernelBackend(PythonKernelBackend):
     """
 
     name = "multiprocess"
-    supports_point_parallel = True
 
     #: Intra-region parallelism thresholds: a region's FOP is farmed out
     #: only when it enumerates at least this many candidate points and
@@ -265,16 +255,8 @@ class MultiprocessKernelBackend(PythonKernelBackend):
     #: together.
     POINT_PARALLEL_OVERHEAD = 0.25
 
-    def __init__(
-        self, workers: Optional[int] = None, inner: Optional[object] = None
-    ) -> None:
-        from repro.kernels import available_backends, resolve_backend
-
-        if inner is None:
-            inner = "numpy" if "numpy" in available_backends() else "python"
-        self.inner = resolve_backend(inner)
-        if self.inner.supports_point_parallel:
-            raise ValueError("inner backend must be a sequential kernel backend")
+    def __init__(self, workers: Optional[int] = None) -> None:
+        super().__init__()
         self.workers = default_worker_count() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -287,11 +269,29 @@ class MultiprocessKernelBackend(PythonKernelBackend):
         self.parallel_regions = 0
 
     # ------------------------------------------------------------------
-    # Kernel-level work: the inherited reference kernels, plus the inner
-    # backend's whole-region search
+    # Whole-region search: native for SACS, else point-parallel or local
     # ------------------------------------------------------------------
     def search_region(self, region, target, bottom_rows, config):
-        return self.inner.search_region(region, target, bottom_rows, config)
+        """Search a region natively, on the pool, or in-process.
+
+        SACS regions take the inherited native search.  Otherwise the
+        region's insertion points are enumerated once and scored by
+        :meth:`evaluate_points_parallel` when
+        :meth:`should_parallelize_fop` says the region is heavy enough,
+        else by the sequential stages in this process; both reduce
+        exactly like :func:`repro.mgl.fop.search_points`.
+        """
+        from repro.mgl.fop import evaluate_point_list, reduce_points, region_points
+
+        search = super().search_region(region, target, bottom_rows, config)
+        if search is not None:
+            return search
+        points = region_points(region, target, bottom_rows)
+        if self.should_parallelize_fop(region, points, config):
+            scored = self.evaluate_points_parallel(region, target, points, config)
+        else:
+            scored = evaluate_point_list(region, target, points, config, self)
+        return reduce_points(scored, target.gp_x)
 
     # ------------------------------------------------------------------
     # Persistent pool management
@@ -389,7 +389,8 @@ class MultiprocessKernelBackend(PythonKernelBackend):
         are index-aligned with ``points`` — work records match the
         sequential single-context run bit for bit.  Shift outcomes of
         worker points are not shipped back (the caller re-derives the
-        winner's).  Callers gate this on :meth:`should_parallelize_fop`.
+        winner's).  :meth:`search_region` gates this on
+        :meth:`should_parallelize_fop`.
         """
         from repro.mgl.fop import evaluate_point_list
 
@@ -416,7 +417,6 @@ class MultiprocessKernelBackend(PythonKernelBackend):
         for w in range(n_workers_used):
             shares.append(remaining[w::n_workers_used])
         params = {
-            "inner": self.inner.name,
             "fwd_bwd": config.use_fwd_bwd_pipeline,
             "vcf": config.vertical_cost_factor,
         }

@@ -1,4 +1,4 @@
-"""NumPy kernel backend: the Python reference plus the native region search.
+"""The ``numpy`` kernel backend: the Python reference plus the native region search.
 
 For SACS configurations FOP hands each region's candidate bottom rows to
 :meth:`NumpyKernelBackend.search_region` before any Python enumeration.
@@ -9,32 +9,20 @@ for bit equal to the reference.  Everything else — the original
 shifter's staged curve pipeline, single SACS shifts (FOP re-deriving the
 winner's outcome) and every SACS region on a host that cannot build the
 kernel — runs the scalar reference inherited from
-:class:`~repro.kernels.python_backend.PythonKernelBackend`.
-
-The backend is registered only when numpy is importable.
+:class:`~repro.kernels.base.KernelBackend`.
 """
 
 from __future__ import annotations
 
-try:  # numpy is an optional dependency of the package
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None  # type: ignore[assignment]
-
-from repro.kernels.python_backend import PythonKernelBackend
+from repro.kernels.base import KernelBackend
 
 
-class NumpyKernelBackend(PythonKernelBackend):
+class NumpyKernelBackend(KernelBackend):
     """The reference kernels, with SACS regions searched by the native kernel."""
 
     name = "numpy"
 
     def __init__(self) -> None:
-        if np is None:  # pragma: no cover - exercised only on numpy-less hosts
-            raise RuntimeError(
-                "the 'numpy' kernel backend requires numpy; install it or "
-                "select backend='python'"
-            )
         from repro.kernels.native import NativeFOP  # imports repro.mgl, which imports us
 
         #: The C kernel searching whole SACS regions (built lazily).

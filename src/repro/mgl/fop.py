@@ -12,14 +12,15 @@ The work performed per insertion point is recorded into
 CPU cost models and the FPGA cycle models can replay it.
 
 The numeric inner loops (curve construction, minimization, snapping) are
-delegated to a pluggable kernel backend (:mod:`repro.kernels`) selected
+delegated to a kernel backend (:mod:`repro.kernels`) selected
 through :attr:`FOPConfig.backend`; the reference ``build_curves`` below
 is the pure-Python oracle the backends must match bit for bit.  A
 backend may also take over the whole search of a region — enumeration,
 scoring and reduction — in one step
 (:meth:`~repro.kernels.base.KernelBackend.search_region`; the ``numpy``
-backend's native kernel does so for SACS); :func:`search_points` is the
-Python reference of that step.
+backend's native kernel does so for SACS, and the ``multiprocess``
+backend chunks heavy original-shifter regions across its worker pool);
+:func:`search_points` is the Python reference of that step.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class FOPConfig:
         trades off vertical against horizontal displacement consistently.
     backend:
         Kernel backend evaluating the numeric hot paths (curve
-        construction, minimization, snapping): a registered backend name
-        (``"python"``, ``"numpy"``), a
+        construction, minimization, snapping): a backend name
+        (``"python"``, ``"numpy"``, ``"multiprocess[:N]"``), a
         :class:`~repro.kernels.base.KernelBackend` instance, or ``None``
         for the default (``"python"``).  All backends are bit-for-bit
         equivalent; see :mod:`repro.kernels`.
@@ -158,77 +159,6 @@ def _pick_site(
     return best
 
 
-def _snap_to_sites(
-    backend: KernelBackend,
-    curves: object,
-    best_x: float,
-    lo: float,
-    hi: float,
-) -> Tuple[Optional[float], float]:
-    """Snap the continuous optimum to the site grid inside ``[lo, hi]``.
-
-    Evaluates the summed curve exactly at the floor and ceiling sites of
-    the continuous optimum and returns the better one.
-    """
-    candidates = _site_candidates(best_x, lo, hi)
-    if not candidates:
-        return None, math.inf
-    values = backend.evaluate(curves, [float(x) for x in candidates])
-    return _pick_site(candidates, values)
-
-
-def evaluate_insertion_point(
-    region: LocalRegion,
-    target: Cell,
-    insertion: InsertionPoint,
-    config: FOPConfig,
-    backend: Optional[KernelBackend] = None,
-) -> Tuple[Optional[float], float, ShiftOutcome, InsertionPointWork]:
-    """Evaluate one insertion point: shift, build curves, minimize, snap.
-
-    Returns ``(best_x, best_cost, shift_outcome, work_record)`` with
-    ``best_x = None`` when the point is infeasible.  ``backend`` lets
-    callers pass an already-resolved kernel backend; otherwise
-    ``config.backend`` is resolved per call.
-    """
-    backend = backend or resolve_backend(config.backend)
-    outcome = config.shifter.shift(region, target, insertion)
-    work = InsertionPointWork(
-        n_local_cells=len(region.local_cells),
-        n_subcells=region.total_subcells(),
-        shift_passes=outcome.passes,
-        shift_cell_visits=outcome.cell_visits,
-        chain_left=len(outcome.left_thresholds),
-        chain_right=len(outcome.right_thresholds),
-        sort_size=outcome.sorted_cells,
-        multirow_accesses=outcome.multirow_accesses,
-        tall_accesses=outcome.tall_accesses,
-        feasible=outcome.feasible,
-    )
-    if not outcome.feasible:
-        return None, math.inf, outcome, work
-
-    curves = backend.build_curves(
-        region, target, insertion.bottom_row, outcome, config.vertical_cost_factor
-    )
-    evaluation = backend.minimize(
-        curves,
-        outcome.xt_lo,
-        outcome.xt_hi,
-        preferred_x=target.gp_x,
-        fwd_bwd=config.use_fwd_bwd_pipeline,
-    )
-    work.n_breakpoints = evaluation.n_breakpoints
-    work.n_merged_breakpoints = evaluation.n_merged
-    best_x, best_cost = _snap_to_sites(
-        backend, curves, evaluation.best_x, outcome.xt_lo, outcome.xt_hi
-    )
-    if best_x is None:
-        work.feasible = False
-        return None, math.inf, outcome, work
-    return best_x, best_cost, outcome, work
-
-
 def find_optimal_position(
     region: LocalRegion,
     target: Cell,
@@ -261,7 +191,7 @@ def find_optimal_position(
     if search.winner is not None:
         insertion, result.x, result.cost, outcome = search.winner
         if outcome is None:
-            # Parallel and native paths: re-derive the winning point's
+            # Worker and native paths: re-derive the winning point's
             # shift outcome (the shifting chains are pure functions of the
             # region state).
             outcome = config.shifter.shift(region, target, insertion)
@@ -280,26 +210,24 @@ def search_points(
 ) -> RegionSearch:
     """The reference whole-region search: enumerate, score, reduce.
 
-    Enumerates the insertion points of every bottom row in
-    ``bottom_rows`` (loop1 x loop2), scores them with the staged
-    kernels and reduces them with :func:`reduce_points`.
+    Scores the points of :func:`region_points` with the staged kernels
+    (:func:`evaluate_point_list`) and reduces them with
+    :func:`reduce_points`.
     """
+    points = region_points(region, target, bottom_rows)
+    scored = evaluate_point_list(region, target, points, config, backend)
+    return reduce_points(scored, target.gp_x)
+
+
+def region_points(
+    region: LocalRegion, target: Cell, bottom_rows: Sequence[int]
+) -> List[InsertionPoint]:
+    """The insertion points of every bottom row in ``bottom_rows``
+    (loop1 x loop2), in enumeration order."""
     points: List[InsertionPoint] = []
     for bottom_row in bottom_rows:
         points.extend(enumerate_insertion_points(region, target, bottom_row))
-    if backend.supports_point_parallel and backend.should_parallelize_fop(
-        region, points, config
-    ):
-        # Intra-region parallelism (the paper's FOP-PE axis): the point
-        # loop is chunked across worker processes; each chunk runs the
-        # exact sequential stages below, and the reduction replays the
-        # full per-point sequence in enumeration order, so results and
-        # work records are bit-for-bit identical.  Outcomes are not
-        # shipped back; the winner's is recomputed locally.
-        scored = backend.evaluate_points_parallel(region, target, points, config)
-    else:
-        scored = evaluate_point_list(region, target, points, config, backend)
-    return reduce_points(scored, target.gp_x)
+    return points
 
 
 def reduce_points(scored: Sequence[ScoredPoint], gp_x: float) -> RegionSearch:

@@ -9,7 +9,7 @@ import pytest
 from repro.core.sacs import SortAheadShifter
 from repro.geometry import Cell, Layout, Window
 from repro.legality import LegalityChecker
-from repro.mgl.fop import FOPConfig, build_curves, evaluate_insertion_point, find_optimal_position
+from repro.mgl.fop import FOPConfig, build_curves, evaluate_point_list, find_optimal_position
 from repro.mgl.insertion import enumerate_insertion_points
 from repro.mgl.local_region import build_local_region, initial_window, region_transfer_words
 from repro.mgl.premove import premove, premove_cell
@@ -261,7 +261,7 @@ class TestFOP:
         region = region_for(layout, target)
         point = enumerate_insertion_points(region, target, 0)[1]
         config = FOPConfig()
-        best_x, cost, outcome, _ = evaluate_insertion_point(region, target, point, config)
+        [(_, best_x, cost, outcome, _)] = evaluate_point_list(region, target, [point], config)
         # Brute force over integer positions inside the feasibility interval.
         from repro.mgl.curves import evaluate_piecewise
 

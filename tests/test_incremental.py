@@ -903,6 +903,16 @@ class TestCli:
         assert err.count("\n") == 1  # one line, no traceback
         assert str(missing) in err and "No such file" in err
 
+    def test_bad_backend_exits_2_before_any_work(self, capsys):
+        for spelling, message in (
+            ("bogus", "unknown kernel backend 'bogus'"),
+            ("multiprocess:0", "invalid worker count 0"),
+        ):
+            assert self.run_main("bench", "--cells", "60", "--backend", spelling) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # rejected before the design is generated
+            assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_corrupt_design_json_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"num_rows": 4,\n  "oops')

@@ -1,12 +1,12 @@
 """Backend-equivalence tests for the kernel layer (repro.kernels).
 
-Every registered backend must reproduce the pure-Python oracle **bit for
+Every backend must reproduce the pure-Python oracle **bit for
 bit**: identical displacement curves, identical minimization results,
 identical SACS shift outcomes (values *and* threshold-dict insertion
 order, which downstream stable sorts depend on), identical FOP
 positions/costs, and identical end-to-end legalization results and work
-counters.  The suite is parametrized over the registry so a new backend
-only needs to be registered to be covered.
+counters.  The suite is parametrized over :func:`available_backends`, so
+every backend the resolver builds is covered.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from repro.core.sacs import SortAheadShifter
 from repro.geometry import Cell, Window
 from repro.kernels import (
     DEFAULT_BACKEND,
+    KernelBackend,
+    MultiprocessKernelBackend,
+    NumpyKernelBackend,
     available_backends,
     get_kernel_backend,
     resolve_backend,
@@ -129,6 +132,23 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="unknown kernel backend"):
             get_kernel_backend("no-such-backend")
+
+    def test_resolver_contract(self):
+        assert available_backends() == ["multiprocess", "numpy", "python"]
+        # One shared instance per spelling, along one inheritance chain.
+        for spelling in ("python", "numpy", "multiprocess", "multiprocess:2"):
+            assert get_kernel_backend(spelling) is get_kernel_backend(spelling)
+        assert type(get_kernel_backend("python")) is KernelBackend
+        assert type(get_kernel_backend("numpy")) is NumpyKernelBackend
+        pool_of_two = get_kernel_backend("multiprocess:2")
+        assert isinstance(pool_of_two, MultiprocessKernelBackend)
+        assert isinstance(pool_of_two, NumpyKernelBackend)
+        assert pool_of_two.workers == 2
+        assert get_kernel_backend("multiprocess") is not pool_of_two
+        # Only multiprocess takes a worker count (bad counts: test_mp_backend).
+        for unknown in ("numpy:2", "python:1", "bogus", ""):
+            with pytest.raises(KeyError, match="available"):
+                get_kernel_backend(unknown)
 
     def test_flex_config_validates_backend(self):
         with pytest.raises(ValueError, match="kernel_backend"):

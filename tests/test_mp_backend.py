@@ -1,9 +1,9 @@
-"""Unit tests of the multiprocess backend: configuration, registry
-integration, kernel delegation and the intra-region point-parallel path.
+"""Unit tests of the multiprocess backend: configuration, resolver
+integration, inherited kernels and the intra-region point-parallel path.
 
 End-to-end equality against the reference is covered by
-``tests/test_kernels.py`` (the backend registers itself into the
-parametrized equivalence suite); this module covers the backend's own
+``tests/test_kernels.py`` (the backend is one of the parametrized
+equivalence suite's backends); this module covers the backend's own
 machinery.
 """
 
@@ -26,6 +26,7 @@ from repro.kernels.mp_backend import WORKERS_ENV_VAR, default_worker_count
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.shifting import OriginalShifter
 from repro.perf.report import shard_summary
+from test_kernels import outcome_key
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -67,8 +68,6 @@ class TestConfiguration:
             MultiprocessKernelBackend(workers=-1)
         with pytest.raises(ValueError, match="workers"):
             MultiprocessKernelBackend(workers=0)
-        with pytest.raises(ValueError, match="sequential"):
-            MultiprocessKernelBackend(inner="multiprocess")
 
     def test_invalid_parameterized_worker_counts_rejected(self):
         # Non-integer and < 1 "multiprocess:N" spellings raise a clear
@@ -93,11 +92,6 @@ class TestConfiguration:
             with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
                 MultiprocessKernelBackend()
 
-    def test_inner_defaults_to_fastest_sequential_backend(self):
-        backend = MultiprocessKernelBackend(workers=2)
-        expected = "numpy" if "numpy" in available_backends() else "python"
-        assert backend.inner.name == expected
-
     def test_close_is_idempotent(self):
         backend = MultiprocessKernelBackend(workers=2)
         backend.close()
@@ -105,7 +99,7 @@ class TestConfiguration:
 
 
 class TestKernelDelegation:
-    def test_kernel_methods_match_inner(self):
+    def test_kernel_methods_match_reference(self):
         from repro.testing import small_design
         from repro.mgl.insertion import enumerate_all_insertion_points
         from repro.mgl.local_region import build_local_region, initial_window
@@ -119,15 +113,21 @@ class TestKernelDelegation:
         target = next(c for c in layout.movable_cells() if not c.legalized)
         region, _ = build_local_region(layout, target, initial_window(layout, target))
         backend = MultiprocessKernelBackend(workers=2)
-        inner = backend.inner
+        reference = get_kernel_backend("python")
         ctx = backend.build_sacs_context(region)
-        inner_ctx = inner.build_sacs_context(region)
+        ref_ctx = reference.build_sacs_context(region)
         for point in list(enumerate_all_insertion_points(region, target))[:5]:
             got = backend.shift_sacs(region, target, point, ctx)
-            ref = inner.shift_sacs(region, target, point, inner_ctx)
-            assert (got.xt_lo, got.xt_hi, got.feasible) == (ref.xt_lo, ref.xt_hi, ref.feasible)
-            assert got.left_thresholds == ref.left_thresholds
-            assert got.right_thresholds == ref.right_thresholds
+            ref = reference.shift_sacs(region, target, point, ref_ctx)
+            assert outcome_key(got) == outcome_key(ref)
+            if not ref.feasible:
+                continue
+            curves = backend.build_curves(region, target, point.bottom_row, got, 10.0)
+            ref_curves = reference.build_curves(region, target, point.bottom_row, ref, 10.0)
+            assert curves == ref_curves
+            assert backend.minimize(curves, got.xt_lo, got.xt_hi) == reference.minimize(
+                ref_curves, ref.xt_lo, ref.xt_hi
+            )
 
     def test_resolve_backend_instance_passthrough(self):
         backend = MultiprocessKernelBackend(workers=2)
@@ -224,6 +224,43 @@ class TestPointParallel:
         assert parallel_regions == 0
         assert (result.x, result.cost, result.insertion) == (
             reference.x, reference.cost, reference.insertion
+        )
+        assert work.insertion_points == ref_work.insertion_points
+
+    def test_sub_threshold_region_is_searched_in_process(self):
+        """Below the thresholds the backend's own ``search_region`` scores
+        an original-shifter region in this process, equal to the
+        reference down to every work record, and forks no worker."""
+        from repro.mgl.fop import search_points
+        from repro.mgl.insertion import candidate_bottom_rows
+        from repro.perf.counters import TargetCellWork
+
+        region, target = _pending_region()
+        bottom_rows = candidate_bottom_rows(region, target)
+        reference_backend = get_kernel_backend("python")
+        ref_config = FOPConfig(shifter=OriginalShifter(), backend=reference_backend)
+        ref_config.shifter.prepare(region)
+        reference = search_points(region, target, bottom_rows, ref_config, reference_backend)
+        ref_work = TargetCellWork(cell_index=target.index)
+        ref_result = find_optimal_position(region, target, ref_config, ref_work)
+
+        with MultiprocessKernelBackend(workers=2) as backend:
+            config = FOPConfig(shifter=OriginalShifter(), backend=backend)
+            config.shifter.prepare(region)
+            search = backend.search_region(region, target, bottom_rows, config)
+            work = TargetCellWork(cell_index=target.index)
+            result = find_optimal_position(region, target, config, work)
+            assert (backend.workers_spawned, backend.parallel_regions) == (0, 0)
+
+        assert search is not None
+        assert search.works == reference.works
+        assert (repr(search.sites), search.costs, search.n_feasible) == (
+            repr(reference.sites), reference.costs, reference.n_feasible
+        )
+        assert search.winner[:3] == reference.winner[:3]
+        assert outcome_key(search.winner[3]) == outcome_key(reference.winner[3])
+        assert (result.feasible, result.bottom_row, result.x, result.cost) == (
+            ref_result.feasible, ref_result.bottom_row, ref_result.x, ref_result.cost
         )
         assert work.insertion_points == ref_work.insertion_points
 

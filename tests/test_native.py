@@ -461,8 +461,8 @@ def test_numpy_fallback_without_compiler_matches_reference(design_name, tmp_path
 
 @needs_native
 def test_multiprocess_hands_sacs_regions_to_the_native_search(monkeypatch):
-    """``multiprocess:2`` searches SACS regions with its inner numpy
-    backend's native kernel; the Python enumeration never runs."""
+    """``multiprocess:2`` searches SACS regions with the native kernel it
+    inherits from the numpy backend; the Python enumeration never runs."""
     import repro.mgl.fop as fop
 
     searched = []

@@ -56,3 +56,27 @@ def test_every_workload_backend_resolves(perfbench):
     for spec in sorted(specs):
         backend = resolve_backend(spec)
         assert isinstance(backend, KernelBackend), spec
+
+
+def test_traced_layers_agree_across_the_backend_chain(perfbench):
+    """``multiprocess`` inherits ``numpy``'s kernels, so the tracer's
+    class patches reach it: a traced legalization records the same
+    layers on both backends, the SACS kernels included."""
+    from repro.core import FlexConfig, FlexLegalizer
+    from repro.testing import small_design
+
+    tracer_module, _ = perfbench
+    layers = {}
+    for spec in ("numpy", "multiprocess:2"):
+        tracer = tracer_module.Tracer().install()
+        try:
+            FlexLegalizer(FlexConfig(kernel_backend=spec)).legalize(
+                small_design(num_cells=80, density=0.7, seed=4)
+            )
+        finally:
+            tracer.uninstall()
+            resolve_backend("multiprocess:2").close()
+        summary = tracer.summarize()["layers"]
+        layers[spec] = {name for name, agg in summary.items() if agg.get("calls", 0) > 0}
+    assert "kernels.sacs" in layers["numpy"]
+    assert layers["multiprocess:2"] == layers["numpy"]
