@@ -49,7 +49,6 @@ CHURN = 0.03
 #: Session config every client opens with.
 SESSION_CONFIG = {
     "backend": "numpy",
-    "worker_budget": 2,
     "max_avedis_drift": 0.05,
 }
 

@@ -348,7 +348,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     stream = _load_stream(args.deltas)
     config = {
         "backend": args.backend,
-        "worker_budget": args.worker_budget,
         "full_threshold": args.churn_threshold,
         **{k: v for k, v in _drift_knobs(args).items() if v is not None},
     }
@@ -622,8 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session name (default: daemon-assigned)")
     p_sub.add_argument("--backend", default=None,
                        help="session kernel backend (default: daemon default)")
-    p_sub.add_argument("--worker-budget", type=int, default=None,
-                       help="per-session multiprocess worker cap")
     p_sub.add_argument("--churn-threshold", type=float, default=None,
                        help="dirty fraction above which the session runs a "
                             "full re-legalization")

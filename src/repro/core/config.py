@@ -30,13 +30,6 @@ class FlexConfig:
     fpga_clock_mhz: float = 285.0
     """FPGA kernel clock (the Alveo U50 design runs at 285 MHz)."""
 
-    memory_clock_multiplier: float = 2.0
-    """The SACS tables (LCT/LCPT/CST/LSC) run in a clock domain at twice
-    the PE frequency when the bandwidth optimisation is enabled."""
-
-    bram_read_ports: int = 2
-    """Read ports per BRAM bank (true dual port)."""
-
     # --- FOP datapath ------------------------------------------------------
     fop_pe_parallelism: int = 2
     """Number of FOP PEs evaluating insertion points of the same region
@@ -84,10 +77,6 @@ class FlexConfig:
     pcie_gbps: float = 12.0
     """Effective host-to-card bandwidth in Gbit/s (PCIe Gen3 x16 after
     protocol overhead, conservative)."""
-
-    # --- CPU host ------------------------------------------------------------
-    cpu_name: str = "Intel Core i5"
-    cpu_ghz: float = 3.1
 
     # --------------------------------------------------------------------
     def with_updates(self, **kwargs) -> "FlexConfig":

@@ -441,9 +441,10 @@ class IncrementalLegalizer:
         the CLI and the ECO experiments run; it places every cell exactly
         where the original shifter and the five-stage pipeline do.
     backend:
-        Convenience kernel-backend override applied to the legalizer
-        (any :mod:`repro.kernels` spec, e.g. ``"numpy"`` or
-        ``"multiprocess:4"``).
+        Kernel backend of the default legalizer (any :mod:`repro.kernels`
+        spec, e.g. ``"numpy"`` or ``"multiprocess:4"``).  Pass either a
+        legalizer or a backend: an explicit legalizer already carries
+        its backend, so giving both raises :class:`ValueError`.
     full_threshold:
         Dirty fraction (dirty cells / movable cells) above which the
         engine resets every movable cell and runs a full legalization
@@ -469,9 +470,8 @@ class IncrementalLegalizer:
         over the baseline snapshot before a repack fires (fragmentation
         is already a 0–1 fraction, so the budget is an absolute delta,
         e.g. ``0.15``).  ``None`` (default) disables the check.
-    fragmentation_min_gap:
-        Gap width below which free space counts as fragmented; defaults
-        to the layout's mean movable-cell width.
+        Gaps narrower than the layout's mean movable-cell width count as
+        fragmented.
     track_fragmentation:
         Record the fragmentation trajectory in the per-call stats even
         when no fragmentation budget is set (the soak harness wants the
@@ -506,13 +506,12 @@ class IncrementalLegalizer:
         max_avedis_drift: Optional[float] = None,
         repack_every: Optional[int] = None,
         max_fragmentation_drift: Optional[float] = None,
-        fragmentation_min_gap: Optional[float] = None,
         track_fragmentation: Optional[bool] = None,
     ) -> None:
         if legalizer is None:
             legalizer = fast_mgl_legalizer(backend)
         elif backend is not None:
-            legalizer = legalizer.with_backend(backend)
+            raise ValueError("pass either a legalizer or a backend, not both")
         if not 0.0 <= full_threshold <= 1.0:
             raise ValueError(f"full_threshold must be in [0, 1], got {full_threshold}")
         if max_avedis_drift is not None and max_avedis_drift < 0.0:
@@ -538,7 +537,6 @@ class IncrementalLegalizer:
         self.max_avedis_drift = max_avedis_drift
         self.repack_every = None if repack_every is None else int(repack_every)
         self.max_fragmentation_drift = max_fragmentation_drift
-        self.fragmentation_min_gap = fragmentation_min_gap
         self.track_fragmentation = (
             max_fragmentation_drift is not None
             if track_fragmentation is None
@@ -603,7 +601,7 @@ class IncrementalLegalizer:
     # ------------------------------------------------------------------
     def _fragmentation(self) -> float:
         assert self.layout is not None
-        return self.layout.free_space_fragmentation(self.fragmentation_min_gap)
+        return self.layout.free_space_fragmentation()
 
     def _refresh_baseline(self, avedis: float) -> None:
         """Snapshot the current layout as the quality baseline."""
@@ -886,14 +884,15 @@ def reference_relegalize(
     legalizer runs on the post-delta layout — whose pending set is
     exactly the dirty set, so this is "the full legalizer with the same
     ordering restricted to the dirty set".  The legalizer defaults to
-    the engine's own default, :func:`~repro.mgl.legalizer.fast_mgl_legalizer`.
-    The returned layout must match the engine's persistent layout bit
-    for bit.
+    the engine's own default, :func:`~repro.mgl.legalizer.fast_mgl_legalizer`
+    on ``backend``; as for the engine, giving both raises
+    :class:`ValueError`.  The returned layout must match the engine's
+    persistent layout bit for bit.
     """
     if legalizer is None:
         legalizer = fast_mgl_legalizer(backend)
     elif backend is not None:
-        legalizer = legalizer.with_backend(backend)
+        raise ValueError("pass either a legalizer or a backend, not both")
     layout = base_layout.copy()
     if layout.unlegalized_cells():
         legalizer.legalize(layout)

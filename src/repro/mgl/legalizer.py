@@ -35,16 +35,16 @@ from repro.legality.metrics import DisplacementStats, PlacementMetrics
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.local_region import RegionBuilder, region_transfer_words
 from repro.mgl.premove import premove, premove_cell
-from repro.mgl.window_planner import (
-    DEFAULT_GROWTH,
-    DEFAULT_MAX_GROWTHS,
-    DEFAULT_SLACK,
-    plan_initial_window,
-)
+from repro.mgl.window_planner import plan_initial_window
 from repro.mgl.update import commit_placement
 from repro.obs import enabled as obs_enabled
 from repro.obs import span
 from repro.perf.counters import LegalizationTrace, TargetCellWork
+
+#: Multiplicative growth applied to the search window on each retry.
+WINDOW_EXPANSION = 1.8
+#: Window expansions tried before the free-space fallback.
+MAX_RETRIES = 4
 
 #: Type of a processing-ordering function: receives the layout and the
 #: unlegalized cells and yields them in processing order.
@@ -60,22 +60,20 @@ def size_descending_order(layout: Layout, cells: List[Cell]) -> List[Cell]:
     return sorted(cells, key=lambda c: (-c.area, -c.height, -c.width, c.index))
 
 
-def fast_mgl_legalizer(backend: BackendSpec = None, **kwargs) -> "MGLLegalizer":
+def fast_mgl_legalizer(backend: BackendSpec = None) -> "MGLLegalizer":
     """An :class:`MGLLegalizer` in the fast host configuration.
 
     SACS shifting plus the fwdtraverse/bwdtraverse curve pipeline — the
     configuration the CLI, the incremental/ECO tooling and the host
     benchmarks all run.  Keeping the construction in one place means a
     future FOP knob change cannot leave those surfaces on silently
-    different configurations.  ``kwargs`` pass through to the
-    constructor.
+    different configurations.
     """
     from repro.core.sacs import SortAheadShifter  # deferred: core imports mgl
 
     return MGLLegalizer(
         FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True),
         backend=backend,
-        **kwargs,
     )
 
 
@@ -115,23 +113,16 @@ class MGLLegalizer:
         argument switches every kernel of the run.
     ordering:
         Processing-ordering function; defaults to size-descending.
-    window_width_factor / window_min_width / window_extra_rows:
-        Initial (geometric) search-window sizing around each target.
-    window_slack / planner_growth / planner_max_growths / use_window_planner:
-        Occupancy-aware window planning (:mod:`repro.mgl.window_planner`):
-        the geometric window is grown until it provably contains
-        ``(1 + window_slack)`` times the target's free-capacity needs,
-        by ``planner_growth`` per step, at most ``planner_max_growths``
-        times.  ``use_window_planner=False`` restores the blind
-        geometric window.
-    window_expansion:
-        Multiplicative growth applied to the window on each retry.
-    max_retries:
-        Number of window expansions before the free-space fallback.
     metrics:
         Metric converter used for the result statistics.
     algorithm_name:
         Label recorded in the trace (``"mgl"`` for the baseline).
+
+    The search-window policy is fixed: each target's retry-0 window is
+    planned by :func:`~repro.mgl.window_planner.plan_initial_window`
+    (the occupancy-aware planner with its default slack and growth),
+    then grown by ``WINDOW_EXPANSION`` on each failed attempt, at most
+    ``MAX_RETRIES`` times, before the free-space fallback.
     """
 
     def __init__(
@@ -140,15 +131,6 @@ class MGLLegalizer:
         *,
         backend: BackendSpec = None,
         ordering: Optional[OrderingFn] = None,
-        window_width_factor: float = 5.0,
-        window_min_width: float = 24.0,
-        window_extra_rows: int = 3,
-        window_slack: float = DEFAULT_SLACK,
-        planner_growth: float = DEFAULT_GROWTH,
-        planner_max_growths: int = DEFAULT_MAX_GROWTHS,
-        use_window_planner: bool = True,
-        window_expansion: float = 1.8,
-        max_retries: int = 4,
         metrics: Optional[PlacementMetrics] = None,
         algorithm_name: str = "mgl",
     ) -> None:
@@ -163,34 +145,12 @@ class MGLLegalizer:
             config = replace(config, backend=backend, shifter=shifter)
         self.fop_config = config
         self.ordering: OrderingFn = ordering or size_descending_order
-        self.window_width_factor = window_width_factor
-        self.window_min_width = window_min_width
-        self.window_extra_rows = window_extra_rows
-        self.window_slack = window_slack
-        self.planner_growth = planner_growth
-        self.planner_max_growths = planner_max_growths
-        self.use_window_planner = use_window_planner
-        self.window_expansion = window_expansion
-        self.max_retries = max_retries
         self.metrics = metrics or PlacementMetrics(
             site_width_units=1.0 / self.fop_config.vertical_cost_factor
         )
         self.algorithm_name = algorithm_name
 
     # ------------------------------------------------------------------
-    def window_params(self) -> dict:
-        """Initial-window planning parameters, keyword-compatible with
-        :func:`repro.mgl.window_planner.plan_initial_window`."""
-        return dict(
-            width_factor=self.window_width_factor,
-            min_width=self.window_min_width,
-            extra_rows=self.window_extra_rows,
-            slack=self.window_slack,
-            growth=self.planner_growth,
-            max_growths=self.planner_max_growths,
-            use_planner=self.use_window_planner,
-        )
-
     def close(self) -> None:
         """Release backend-held resources (worker pools).
 
@@ -214,29 +174,6 @@ class MGLLegalizer:
     def __exit__(self, exc_type, exc_value, exc_tb) -> bool:
         self.close()
         return False
-
-    def with_backend(self, backend: BackendSpec) -> "MGLLegalizer":
-        """A clone of this legalizer running on a different kernel backend.
-
-        Used by the incremental engine to run a caller's legalizer on an
-        explicitly chosen backend with identical parameters.
-        """
-        return MGLLegalizer(
-            self.fop_config,
-            backend=backend,
-            ordering=self.ordering,
-            window_width_factor=self.window_width_factor,
-            window_min_width=self.window_min_width,
-            window_extra_rows=self.window_extra_rows,
-            window_slack=self.window_slack,
-            planner_growth=self.planner_growth,
-            planner_max_growths=self.planner_max_growths,
-            use_window_planner=self.use_window_planner,
-            window_expansion=self.window_expansion,
-            max_retries=self.max_retries,
-            metrics=self.metrics,
-            algorithm_name=self.algorithm_name,
-        )
 
     # ------------------------------------------------------------------
     def legalize(self, layout: Layout) -> LegalizationResult:
@@ -354,14 +291,14 @@ class MGLLegalizer:
     def _legalize_cell(self, layout: Layout, target: Cell) -> Tuple[bool, TargetCellWork]:
         """Legalize one target cell (steps c–e with window retries)."""
         work = TargetCellWork(cell_index=target.index, height=target.height, width=target.width)
-        window, growths = plan_initial_window(layout, target, **self.window_params())
+        window, growths = plan_initial_window(layout, target)
         work.planner_growths = growths
         # One builder per target: retries grow the window monotonically,
         # so each retry rescans only the newly exposed strips and reuses
         # the per-row obstacle lists already gathered for the region.
         builder = RegionBuilder(layout, target)
         reason = None
-        for retry in range(self.max_retries + 1):
+        for retry in range(MAX_RETRIES + 1):
             region, scanned = builder.build(window)
             work.window_retries = retry
             work.n_local_cells = len(region.local_cells)
@@ -381,8 +318,8 @@ class MGLLegalizer:
                 reason = "no_feasible_point"
             # Grow the window and retry.
             window = window.expanded(
-                dx=window.width * (self.window_expansion - 1.0) / 2.0 + target.width,
-                drows=max(2, int(window.num_rows * (self.window_expansion - 1.0) / 2.0) + 1),
+                dx=window.width * (WINDOW_EXPANSION - 1.0) / 2.0 + target.width,
+                drows=max(2, int(window.num_rows * (WINDOW_EXPANSION - 1.0) / 2.0) + 1),
                 layout_width=layout.width,
                 layout_rows=layout.num_rows,
             )

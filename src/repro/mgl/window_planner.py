@@ -1,16 +1,15 @@
 """Occupancy-aware planning of the initial search window.
 
 The geometric window of :func:`repro.mgl.local_region.initial_window`
-is sized from the target alone (``width_factor`` / ``min_width`` /
-``extra_rows``), so on dense designs it routinely lands on fully
-fragmented free space and the retry-0 FOP pass finds no feasible
-insertion point — every such target pays one or more ``window_expansion``
-retries.
+is sized from the target alone, so on dense designs it routinely lands
+on fully fragmented free space and the retry-0 FOP pass finds no
+feasible insertion point — every such target pays one or more window
+expansion retries.
 
 :func:`plan_initial_window` fixes that deterministically: it consults the
 layout's free-space summary (:meth:`repro.geometry.layout.Layout
 .row_free_capacity`) and grows the geometric window until it *provably*
-contains enough free capacity for the target plus a configurable slack —
+contains enough free capacity for the target plus a slack —
 both in total area and as a contiguous band of candidate bottom rows
 each wide enough for the slackened target.  Growth is monotone (every
 step returns a superset window) and shifts asymmetrically off the chip
@@ -23,7 +22,7 @@ every kernel backend computes the identical floats.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
@@ -33,8 +32,8 @@ from repro.geometry.row import legal_bottom_rows
 #: Default fractional free-capacity slack demanded beyond the target's
 #: own footprint (1.0 = plan for 2x the target area / per-row width).
 DEFAULT_SLACK = 1.0
-#: Default multiplicative growth applied per planning step.
-DEFAULT_GROWTH = 1.6
+#: Multiplicative growth applied per planning step.
+GROWTH = 1.6
 #: Default cap on the number of planning growth steps per target.
 DEFAULT_MAX_GROWTHS = 8
 #: Growth steps that stay horizontal-only before rows are grown too.
@@ -115,50 +114,31 @@ def plan_initial_window(
     layout: Layout,
     target: Cell,
     *,
-    width_factor: float = 5.0,
-    min_width: float = 24.0,
-    extra_rows: int = 3,
-    slack: Optional[float] = None,
-    growth: Optional[float] = None,
-    max_growths: Optional[int] = None,
-    use_planner: bool = True,
+    slack: float = DEFAULT_SLACK,
+    max_growths: int = DEFAULT_MAX_GROWTHS,
 ) -> Tuple[Window, int]:
     """Plan the retry-0 search window of a (pre-moved) target cell.
 
-    ``slack`` / ``growth`` / ``max_growths`` default (via ``None``) to
-    the module's ``DEFAULT_*`` constants, so callers that do not tune
-    them can never drift from the planner's single source of defaults.
-
     Opens the geometric window of :func:`~repro.mgl.local_region
-    .initial_window` and, when the planner is enabled, grows it until
-    :func:`window_is_promising` accepts it (or the growth budget is
-    exhausted, or the window covers the whole chip).  Returns the window
-    together with the number of growth steps taken — recorded as
-    ``planner_growths`` in the target's work counters.
+    .initial_window` and grows it by ``GROWTH`` per step until
+    :func:`window_is_promising` accepts it with ``slack`` (or
+    ``max_growths`` steps are spent, or the window covers the whole
+    chip).  Returns the window together with the number of growth steps
+    taken — recorded as ``planner_growths`` in the target's work
+    counters.
     """
     from repro.mgl.local_region import initial_window
 
-    slack = DEFAULT_SLACK if slack is None else slack
-    growth = DEFAULT_GROWTH if growth is None else growth
-    max_growths = DEFAULT_MAX_GROWTHS if max_growths is None else max_growths
-    window = initial_window(
-        layout,
-        target,
-        width_factor=width_factor,
-        min_width=min_width,
-        extra_rows=extra_rows,
-    )
-    if not use_planner:
-        return window, 0
+    window = initial_window(layout, target)
     growths = 0
     while growths < max_growths and not window_is_promising(
         layout, target, window, slack
     ):
-        dx = max(target.width, window.width * (growth - 1.0) / 2.0)
+        dx = max(target.width, window.width * (GROWTH - 1.0) / 2.0)
         full_width = window.x_lo <= 0.0 and window.x_hi >= layout.width
         grow_rows = full_width or growths >= ROW_GROWTH_DEFER
         drows = (
-            max(1, int(round(window.num_rows * (growth - 1.0) / 2.0)))
+            max(1, int(round(window.num_rows * (GROWTH - 1.0) / 2.0)))
             if grow_rows
             else 0
         )

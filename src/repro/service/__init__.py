@@ -9,7 +9,7 @@ This package wraps it in a long-running multi-client service:
   structured error codes every failure maps to;
 * :mod:`repro.service.session` — one :class:`Session` per open design:
   a private ``IncrementalLegalizer`` with per-session kernel-backend /
-  worker-budget / governor knobs, a FIFO apply queue whose dispatcher
+  governor knobs, a FIFO apply queue whose dispatcher
   serializes (and coalesces) batches, and the replay ledger that makes
   the service auditable — :func:`offline_replay` re-runs a ledger
   through a fresh engine and must land on a bit-for-bit identical

@@ -132,6 +132,9 @@ class LegalizationServer:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
+        # Resolve the sessions' default backend now: a bad spelling must
+        # fail before the daemon binds, not in every later open_session.
+        SessionConfig(backend=self.config.default_backend).validate()
         self._sessions: Dict[str, Optional[Session]] = {}
         self._closed_sessions: set = set()
         self._mutex = threading.Lock()

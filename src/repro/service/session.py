@@ -2,7 +2,7 @@
 
 One :class:`Session` owns one design: a private
 :class:`~repro.incremental.IncrementalLegalizer` configured with the
-session's kernel backend, worker budget and governor knobs, plus a FIFO
+session's kernel backend and governor knobs, plus a FIFO
 apply queue.  Any number of connections may submit batches to a session;
 the queue's *dispatcher* — whichever submitting thread wins the
 ``_dispatching`` flag — applies them strictly in arrival order, one
@@ -43,6 +43,7 @@ from repro.obs import metrics as obs_metrics
 from repro.geometry.layout import Layout
 from repro.incremental.deltas import Delta, delta_from_dict
 from repro.incremental.engine import DEFAULT_FULL_THRESHOLD, IncrementalLegalizer
+from repro.kernels import get_kernel_backend
 from repro.service.protocol import ProtocolError
 
 
@@ -53,15 +54,13 @@ from repro.service.protocol import ProtocolError
 class SessionConfig:
     """Engine knobs one ``open_session`` request may set.
 
-    ``worker_budget`` is the per-session cap on multiprocess workers: it
-    rewrites a bare ``"multiprocess"`` backend to ``"multiprocess:N"``
-    (and overrides an explicit ``:M`` suffix), so one heavy session
-    cannot claim the whole host from its neighbours.  It is recorded but
-    inert for the single-process backends.
+    ``backend`` is any :func:`repro.kernels.get_kernel_backend` spelling;
+    sessions share the resolver's instance per spelling.  That is safe
+    because a served engine runs SACS, whose regions the native search
+    scores in-process: a ``multiprocess`` session never starts its pool.
     """
 
     backend: Optional[str] = None
-    worker_budget: Optional[int] = None
     full_threshold: float = DEFAULT_FULL_THRESHOLD
     max_avedis_drift: Optional[float] = None
     repack_every: Optional[int] = None
@@ -69,7 +68,6 @@ class SessionConfig:
 
     _FIELDS = (
         "backend",
-        "worker_budget",
         "full_threshold",
         "max_avedis_drift",
         "repack_every",
@@ -106,54 +104,26 @@ class SessionConfig:
     def validate(self) -> None:
         """Raise on a bad backend spelling or knob value, touching nothing.
 
-        Backend names are resolved eagerly (legalizers only resolve them
-        on first use, far too late for a request-time error), then a
+        The backend is resolved eagerly (legalizers only resolve it on
+        first use, far too late for a request-time error), then a
         throwaway engine is built so every numeric knob goes through the
         same range checks the engine itself enforces.
         """
-        spec = self.backend_spec()
-        if isinstance(spec, str):
-            from repro.kernels import available_backends
-
-            base, sep, _ = spec.partition(":")
-            if base not in available_backends():
-                raise ValueError(
-                    f"unknown kernel backend {base!r}; available: {available_backends()}"
+        if self.backend is not None:
+            if not isinstance(self.backend, str):
+                raise TypeError(
+                    f"'backend' must be a string, got {type(self.backend).__name__}"
                 )
-            if sep and base != "multiprocess":
-                raise ValueError(
-                    f"backend {base!r} takes no ':N' argument ({spec!r})"
-                )
+            try:
+                get_kernel_backend(self.backend)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
         self.make_engine().close()
 
-    def backend_spec(self) -> Optional[str]:
-        """The kernel-backend spec with the worker budget applied."""
-        if self.backend is None:
-            return None
-        if self.worker_budget is not None and self.backend.startswith("multiprocess"):
-            return f"multiprocess:{int(self.worker_budget)}"
-        return self.backend
-
     def make_engine(self) -> IncrementalLegalizer:
-        """A fresh engine with this config (used live and by the replay).
-
-        A ``multiprocess`` spec resolves to a **private** backend
-        instance rather than the process-wide cached one
-        (:func:`repro.kernels.get_kernel_backend` shares instances by
-        spelling): each session owns its pool, its worker budget really
-        is per-session, and closing one session can never yank a pool
-        out from under a concurrent neighbour.
-        """
-        spec = self.backend_spec()
-        if isinstance(spec, str) and spec.startswith("multiprocess"):
-            from repro.kernels import MultiprocessKernelBackend
-            from repro.kernels.mp_backend import parse_worker_count
-
-            _, sep, arg = spec.partition(":")
-            workers = parse_worker_count(arg, source=f'"{spec}"') if sep else None
-            spec = MultiprocessKernelBackend(workers=workers)
+        """A fresh engine with this config (used live and by the replay)."""
         return IncrementalLegalizer(
-            backend=spec,
+            backend=self.backend,
             full_threshold=float(self.full_threshold),
             max_avedis_drift=self.max_avedis_drift,
             repack_every=self.repack_every,

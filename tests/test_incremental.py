@@ -447,6 +447,16 @@ class TestIncrementalLegalizer:
         with pytest.raises(ValueError, match="full_threshold"):
             IncrementalLegalizer(full_threshold=1.5)
 
+    def test_legalizer_and_backend_together_are_rejected(self):
+        # An explicit legalizer carries its own backend; a second one is
+        # an error rather than a silent clone onto the other backend.
+        legalizer = MGLLegalizer(backend="python")
+        with pytest.raises(ValueError, match="legalizer or a backend"):
+            IncrementalLegalizer(legalizer, backend="numpy")
+        base = legal_design(num_cells=30, seed=3)
+        with pytest.raises(ValueError, match="legalizer or a backend"):
+            reference_relegalize(base, [], legalizer=legalizer, backend="numpy")
+
     def test_summary_line(self):
         layout = legal_design(num_cells=40, seed=11)
         engine = IncrementalLegalizer(backend="python")
@@ -904,14 +914,17 @@ class TestCli:
         assert str(missing) in err and "No such file" in err
 
     def test_bad_backend_exits_2_before_any_work(self, capsys):
-        for spelling, message in (
-            ("bogus", "unknown kernel backend 'bogus'"),
-            ("multiprocess:0", "invalid worker count 0"),
-        ):
-            assert self.run_main("bench", "--cells", "60", "--backend", spelling) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""  # rejected before the design is generated
-            assert captured.err.count("\n") == 1 and message in captured.err
+        # bench: before the design is generated; serve: before the daemon
+        # binds (it would otherwise print "listening" and run).
+        for command in (("bench", "--cells", "60"), ("serve", "--port", "0")):
+            for spelling, message in (
+                ("bogus", "unknown kernel backend 'bogus'"),
+                ("multiprocess:0", "invalid worker count 0"),
+            ):
+                assert self.run_main(*command, "--backend", spelling) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "", command
+                assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_corrupt_design_json_exits_2_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ from repro.core.ordering import DensityGrid
 from repro.core.pipeline import PipelineOrganization
 from repro.core.sacs import SortAheadShifter
 from repro.legality import LegalityChecker
-from repro.mgl import MGLLegalizer
+from repro.mgl import MGLLegalizer, initial_window
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import size_descending_order
 
@@ -182,10 +182,17 @@ class TestFailReason:
     """``TargetCellWork.fail_reason``, pinned on hand-built layouts with a
     single window attempt (no retries, no planner growth)."""
 
+    @pytest.fixture(autouse=True)
+    def _single_attempt(self, monkeypatch):
+        monkeypatch.setattr("repro.mgl.legalizer.MAX_RETRIES", 0)
+        monkeypatch.setattr(
+            "repro.mgl.legalizer.plan_initial_window",
+            lambda layout, target: (initial_window(layout, target), 0),
+        )
+
     @staticmethod
     def _work(layout, target):
-        legalizer = MGLLegalizer(max_retries=0, use_window_planner=False)
-        result = legalizer.legalize(layout)
+        result = MGLLegalizer().legalize(layout)
         (work,) = [w for w in result.trace.targets if w.cell_index == target.index]
         return result, work
 

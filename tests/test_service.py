@@ -22,7 +22,7 @@ import pytest
 from repro.benchgen import EcoSpec, generate_eco_stream
 from repro.designio import layout_fingerprint, layout_from_dict, layout_to_dict
 from repro.incremental import IncrementalLegalizer
-from repro.kernels import available_backends
+from repro.kernels import available_backends, get_kernel_backend
 from repro.obs.metrics import find_series
 from repro.service import (
     LegalizationServer,
@@ -173,7 +173,7 @@ class TestConcurrentExactness:
     def test_concurrent_clients_bit_for_bit(self, server, backend):
         """4 clients x 10 batches each: zero mismatches vs offline replay."""
         clients, batches = 4, 10
-        config = {"backend": backend, "max_avedis_drift": 0.10, "worker_budget": 2}
+        config = {"backend": backend, "max_avedis_drift": 0.10}
         designs = [
             small_design(num_cells=80, density=0.55, seed=20 + i)
             for i in range(clients)
@@ -239,6 +239,20 @@ class TestConcurrentExactness:
             assert handle.verify(final), (
                 "interleaved writers broke replay equality"
             )
+
+    def test_served_multiprocess_session_never_forks(self, server):
+        """Sessions share the resolver's backend instance per spelling.
+        That is safe because a served engine runs SACS, which never
+        reaches the worker pool (the pool tests use private instances)."""
+        design = small_design(num_cells=80, density=0.55, seed=17)
+        rng = np.random.default_rng(3)
+        with connect(server) as client:
+            handle = client.open_session(design, config={"backend": "multiprocess:2"})
+            for _ in range(3):
+                assert handle.apply(move_only_batch(design, rng))["success"]
+            final = handle.close()
+        assert final["failed_batches"] == 0 and handle.verify(final)
+        assert get_kernel_backend("multiprocess:2").workers_spawned == 0
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +481,9 @@ class TestProtocolErrors:
             for config in (
                 {"backend": "warp-drive"},
                 {"backend": "numpy:4"},
+                {"backend": "multiprocess:0"},
+                {"backend": 5},
+                {"worker_budget": 2},
                 {"frobnicate": True},
                 {"full_threshold": 3.0},
             ):

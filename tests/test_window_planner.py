@@ -223,14 +223,6 @@ def test_grow_window_shifts_off_chip_boundary():
     assert grown.row_hi == 10 and grown.row_lo == 6
 
 
-def test_disabled_planner_returns_geometric_window():
-    layout = build_design(60, 0.8, 3)
-    target = layout.unlegalized_cells()[0]
-    window, growths = plan_initial_window(layout, target, use_planner=False)
-    assert growths == 0
-    assert window == initial_window(layout, target)
-
-
 # ----------------------------------------------------------------------
 # Incremental region builder
 # ----------------------------------------------------------------------
@@ -295,19 +287,23 @@ def test_empty_trace_feasibility_rate_is_one():
     assert LegalizationTrace().retry0_feasibility_rate == 1.0
 
 
-def test_planner_lifts_retry0_feasibility_on_dense_design():
+def test_planner_lifts_retry0_feasibility_on_dense_design(monkeypatch):
     """End to end: the planner must turn most retries into retry-0 hits."""
 
-    def run(use_planner):
+    def run():
         layout = small_design(num_cells=110, density=0.8, seed=9)
         legalizer = MGLLegalizer(
-            FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True),
-            use_window_planner=use_planner,
+            FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True)
         )
         return legalizer.legalize(layout)
 
-    blind = run(False)
-    planned = run(True)
+    planned = run()
+    # The blind baseline: the geometric window, never grown by the planner.
+    monkeypatch.setattr(
+        "repro.mgl.legalizer.plan_initial_window",
+        lambda layout, target: (initial_window(layout, target), 0),
+    )
+    blind = run()
     assert blind.trace.planner_growths_total == 0
     assert planned.trace.planner_growths_total > 0
     assert planned.trace.retry0_feasibility_rate >= 0.9
