@@ -180,9 +180,15 @@ def shift_cells_sacs(
 class SortAheadShifter:
     """Shifter object plugging SACS into the FOP driver.
 
-    ``prepare`` builds the sorted context once per localRegion (the sort
-    is shared by all insertion points of the region, as in the hardware
-    where the Ahead Sorter runs once per region).
+    Selecting it is what routes a region to the native search: on the
+    ``numpy`` backend (with a C compiler) FOP hands every SACS region to
+    the kernel, which sorts the cells itself and returns the winner's
+    shift outcome, so neither :meth:`prepare` nor :meth:`shift` runs.
+    They are the Python reference path (the ``python`` backend, and
+    hosts without a compiler): ``prepare`` builds the sorted context
+    once per localRegion (the sort is shared by all insertion points of
+    the region, as in the hardware where the Ahead Sorter runs once per
+    region), and ``shift`` runs one point's chains against it.
 
     ``backend`` selects the kernel backend executing the chain
     evaluation (a :mod:`repro.kernels` name or instance; ``None`` means
@@ -220,13 +226,10 @@ class SortAheadShifter:
         # iterated or persisted, so the address is safe here.
         self._region_id = id(region)  # repro: allow[det-id-key]
 
-    def context_for(self, region: LocalRegion) -> SACSContext:
-        """The pre-sorted context of ``region`` (prepared on first use)."""
+    def shift(self, region: LocalRegion, target: Cell, insertion: InsertionPoint) -> ShiftOutcome:
+        """Run single-pass SACS for one insertion point (preparing
+        ``region`` first when it is not the prepared one)."""
         if self._context is None or self._region_id != id(region):  # repro: allow[det-id-key]
             self.prepare(region)
         assert self._context is not None
-        return self._context
-
-    def shift(self, region: LocalRegion, target: Cell, insertion: InsertionPoint) -> ShiftOutcome:
-        """Run single-pass SACS for one insertion point."""
-        return self._resolve().shift_sacs(region, target, insertion, self.context_for(region))
+        return self._resolve().shift_sacs(region, target, insertion, self._context)

@@ -2,7 +2,8 @@
 
 :class:`FpgaPipelineModel` aggregates the per-insertion-point cycle model
 of :class:`~repro.fpga.pe.FopPeModel` over a recorded
-:class:`~repro.perf.counters.LegalizationTrace`:
+:class:`~repro.perf.counters.LegalizationTrace` by reducing the run's
+insertion-point columns:
 
 * insertion points of one localRegion are distributed over the configured
   number of FOP PEs (two PEs process two insertion points of the *same*
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional
 
 from repro.core.config import FlexConfig
@@ -110,7 +113,7 @@ class FpgaPipelineModel:
     # ------------------------------------------------------------------
     def target_cycles(self, work: TargetCellWork) -> Dict[str, float]:
         """Cycle breakdown of one target cell's FOP execution."""
-        ip_cycles = [self._pe_model.insertion_point_cycles(ip) for ip in work.insertion_points]
+        ip_cycles, _ = self._pe_model.point_cycles(work.points)
         return self._target_breakdown(work, ip_cycles)
 
     def _target_breakdown(
@@ -126,8 +129,8 @@ class FpgaPipelineModel:
 
         presort = 0.0
         if self.config.use_sacs:
-            sort_items = sum(ip.sort_size for ip in work.insertion_points)
-            if sort_items == 0 and work.insertion_points:
+            sort_items = work.total_sort_items
+            if sort_items == 0 and ip_cycles:
                 sort_items = work.n_local_cells
             presort = self.presorter.cycles(sort_items) * (1.0 - p.presort_overlap_fraction)
 
@@ -138,20 +141,22 @@ class FpgaPipelineModel:
     def estimate(self, trace: LegalizationTrace) -> FpgaEstimate:
         """Estimate the FPGA cycles of a whole run."""
         estimate = FpgaEstimate(clock=pe_clock(self.config.fpga_clock_mhz))
-        stage_totals: Dict[str, float] = {}
-        point_cycles = self._pe_model._point_cycles
+        # One stage split per insertion point feeds both the targets'
+        # totals and the run's per-stage totals.
+        ip_cycles, stages = self._pe_model.point_cycles(trace.point_columns())
+        start = 0
         for work in trace.targets:
-            # One stage split per insertion point feeds both the target's
-            # total and the run's per-stage totals.
-            points = [point_cycles(ip) for ip in work.insertion_points]
-            breakdown = self._target_breakdown(work, [total for total, _ in points])
+            stop = start + work.n_insertion_points
+            breakdown = self._target_breakdown(work, ip_cycles[start:stop])
+            start = stop
             estimate.per_target_cycles[work.cell_index] = breakdown["total"]
             estimate.total_cycles += breakdown["total"]
             estimate.presort_cycles += breakdown["presort"]
             estimate.sync_cycles += breakdown["sync"]
-            for _, stages in points:
-                for stage, cycles in stages.items():
-                    stage_totals[stage] = stage_totals.get(stage, 0.0) + cycles
+        # Each stage total is a left fold over every point in enumeration order.
+        stage_totals: Dict[str, float] = {}
+        if ip_cycles:
+            stage_totals = {stage: reduce(add, column, 0.0) for stage, column in stages.items()}
         if estimate.presort_cycles:
             stage_totals["presort"] = estimate.presort_cycles
         estimate.stage_cycles = stage_totals

@@ -23,8 +23,9 @@ The model exposes three switches matching the Fig. 9 series:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
-from repro.perf.counters import InsertionPointWork
+from repro.perf.counters import InsertionPointWork, PointRun
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,12 @@ class SacsCycleModel:
     params: SacsCycleParameters = SacsCycleParameters()
 
     # ------------------------------------------------------------------
-    def shift_cycles(self, work: InsertionPointWork) -> float:
+    def shift_cycles(self, work: Union[PointRun, InsertionPointWork]) -> float:
         """Cycles spent in the cell-shift stage for one insertion point.
 
-        ``work`` must come from a SACS run (one visit per cell per phase);
+        ``work`` is the point's work, or the :class:`PointRun` it belongs
+        to (the shift counters are region constants).  It must come from
+        a SACS run (one visit per cell per phase);
         the pre-sort cycles are accounted separately per region by
         :class:`repro.fpga.pipeline_sim.FpgaPipelineModel`.
         """

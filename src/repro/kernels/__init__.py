@@ -93,9 +93,11 @@ def get_kernel_backend(name: str) -> KernelBackend:
     Accepts the names of :func:`available_backends` and the
     ``"multiprocess:N"`` spelling.  An invalid worker count (e.g.
     ``"multiprocess:0"`` or ``"multiprocess:x"``) raises a
-    :class:`ValueError` naming the offending spelling; unknown backend
-    names raise :class:`KeyError`.
+    :class:`ValueError` naming the offending spelling, as does a spec
+    that is not a string; unknown backend names raise :class:`KeyError`.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"kernel backend spec must be a name string, got {name!r}")
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = _INSTANCES[name] = _build_backend(name)

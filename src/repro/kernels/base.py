@@ -57,25 +57,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mgl.curves import CurveEvaluation
     from repro.mgl.insertion import InsertionPoint
     from repro.mgl.shifting import ShiftOutcome
-    from repro.perf.counters import InsertionPointWork
+    from repro.perf.counters import InsertionPointWork, PointColumns
 
 
 class RegionSearch(NamedTuple):
     """The result of FOP's insertion-point search over one localRegion.
 
-    ``works``, ``sites`` and ``costs`` hold one entry per evaluated
-    insertion point, in enumeration order: its work record, its best
+    ``points``, ``sites`` and ``costs`` cover every evaluated insertion
+    point, in enumeration order: its work counts (columns), its best
     site and that site's cost (``nan`` and ``inf`` for an infeasible
     point).  ``n_feasible`` counts the feasible points.  ``winner`` is
     ``None`` when none is feasible, else ``(insertion, best_x, cost,
-    outcome)`` of the winning point; ``outcome`` may be ``None``.
+    outcome)`` of the winning point; ``outcome`` is ``None`` only when
+    the winner was scored in a worker process.
     """
 
-    works: List["InsertionPointWork"]
+    points: "PointColumns"
     sites: List[float]
     costs: List[float]
     n_feasible: int
     winner: Optional[Tuple["InsertionPoint", float, float, Optional["ShiftOutcome"]]]
+
+    @property
+    def works(self) -> List["InsertionPointWork"]:
+        """The points as :class:`~repro.perf.counters.InsertionPointWork` views."""
+        return list(self.points)
 
 
 class KernelBackend:
@@ -188,8 +194,9 @@ class KernelBackend:
 
         Enumerates the insertion points of every candidate bottom row in
         ``bottom_rows``, scores them and reduces them to the winner,
-        returning what :func:`repro.mgl.fop.search_points` returns (the
-        winner's outcome may be ``None``; FOP then re-derives it).
+        returning what :func:`repro.mgl.fop.search_points` returns (a
+        winner scored in a worker process may come without its outcome;
+        FOP then re-derives it).
         Returns ``None`` when this backend has no whole-region path for
         ``config``; FOP then enumerates in Python and runs the staged
         kernels above.  The default has none.

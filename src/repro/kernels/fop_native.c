@@ -15,9 +15,14 @@
  * same IEEE-754 double operation, on the same operands, in the same order as
  * in the reference:
  *
+ *   - cells are ordered by (x, local index), the key of
+ *     repro.geometry.region.LocalRegion.sorted_by_x (the SACS pre-sort);
  *   - threshold dictionaries are replayed with explicit first-insertion
  *     order lists, because curve construction (and therefore the constant
- *     fold and the snapping sums) iterates them in insertion order;
+ *     fold and the snapping sums) iterates them in insertion order; the
+ *     winner's lists are returned in that order, as the reference's dicts
+ *     hold them (boundary cells in spanned-row order, then each neighbour
+ *     at its first assignment);
  *   - Python's max(a, b) / min(a, b) keep the first argument on ties, which
  *     py_max / py_min reproduce (this only matters for signed zeros);
  *   - the breakpoint sort is stable, like Python's sorted();
@@ -48,7 +53,6 @@ typedef struct {
     const double *x;        /* snapshot x */
     const double *width;
     const double *gp_x;     /* global-placement x */
-    const int *order_asc;   /* cells sorted by (x, index): the right-move order */
     const int *cell_row_start; /* n_cells + 1 offsets into cell_rows */
     const int *cell_rows;   /* row of each subcell, in cell.rows order */
     /* rows (dense index = row - row_base) */
@@ -80,6 +84,16 @@ typedef struct {
     int winner;             /* index of the winning point, -1 when none */
     int winner_bottom;
     int *winner_split;      /* height split indices, bottom row first */
+    /* the winner's shift outcome (repro.mgl.shifting.ShiftOutcome): its
+       left cells at winner_cells[0 .. n_left) and right cells at
+       winner_cells[n_cells .. n_cells + n_right), each in first-assignment
+       order, with their thresholds at the same offsets of winner_values */
+    int *winner_cells;      /* 2 * n_cells entries */
+    double *winner_values;  /* 2 * n_cells entries */
+    int winner_n_left;
+    int winner_n_right;
+    double winner_xt_lo;
+    double winner_xt_hi;
 } fop_search;
 
 /* The region as the scoring loop reads it: the call's arrays plus the ones
@@ -88,7 +102,6 @@ typedef struct {
     int n_cells;
     const double *x;
     const double *gp_x;
-    const int *order_asc;
     const int *cell_row_start;
     int n_rows;
     const int *row_start;
@@ -102,6 +115,7 @@ typedef struct {
     int height;
     int fwd_bwd;
     /* derived */
+    int *order_asc;  /* cells sorted by (x, index): the right-move order */
     int *cell_rows;  /* dense row of each subcell */
     double *right;   /* x + width */
     double *seg_lo;  /* tightest segment lower bound over the cell's rows */
@@ -519,29 +533,33 @@ static int score_point(const fop_region *R, int bottom, int bd, const int *split
 typedef struct {
     double key;
     int idx;
-} centre;
+} keyed;
 
-/* Python's sort key (x + width / 2.0, idx); the indices make it total. */
-static int by_centre(const void *pa, const void *pb)
+/* Python's sort key (key, idx); the indices make it total. */
+static int by_key(const void *pa, const void *pb)
 {
-    const centre *a = pa, *b = pb;
+    const keyed *a = pa, *b = pb;
     if (a->key < b->key) return -1;
     if (a->key > b->key) return 1;
     return (a->idx > b->idx) - (a->idx < b->idx);
 }
 
-/* Fill the derived arrays of R (and the per-row width prefixes); returns
-   BAD_REGION when the arrays do not describe a consistent region. */
-static int derive_region(const fop_search *S, fop_region *R, double *prefix)
+/* Fill the derived arrays of R (and the per-row width prefixes; `keys` is
+   n_cells scratch entries); returns BAD_REGION when the arrays do not
+   describe a consistent region. */
+static int derive_region(const fop_search *S, fop_region *R, double *prefix, keyed *keys)
 {
     int n = R->n_cells, n_sub = R->cell_row_start[n];
     for (int i = 0; i < n; i++) {
         R->right[i] = R->x[i] + S->width[i];
-        R->rank_asc[i] = -1;
+        keys[i].key = R->x[i];
+        keys[i].idx = i;
     }
+    /* The SACS pre-sort (the Ahead Sorter): processing ranks by (x, index). */
+    qsort(keys, (size_t)n, sizeof(keyed), by_key);
     for (int rank = 0; rank < n; rank++) {
-        int idx = R->order_asc[rank];
-        if (idx < 0 || idx >= n || R->rank_asc[idx] >= 0) return BAD_REGION;
+        int idx = keys[rank].idx;
+        R->order_asc[rank] = idx;
         R->rank_asc[idx] = rank;
         R->order_desc[n - 1 - rank] = idx;
         R->rank_desc[idx] = n - 1 - rank;
@@ -605,18 +623,43 @@ static int fits(const fop_region *R, const double *prefix, int bd, const int *sp
     return 1;
 }
 
+/* The winner's shift outcome: shift its split once more (the scoring
+   loop keeps no per-point thresholds) and copy the threshold lists out in
+   first-assignment order. */
+static void emit_winner(fop_search *S, const fop_region *R, thresholds *left,
+                        thresholds *right, int epoch)
+{
+    int bd = S->winner_bottom - S->row_base;
+    shift_left(R, S->winner_split, bd, left, epoch);
+    shift_right(R, S->winner_split, bd, right, epoch);
+    finalize(R, S->winner_split, bd, left, right, epoch, &S->winner_xt_lo, &S->winner_xt_hi);
+    S->winner_n_left = left->count;
+    S->winner_n_right = right->count;
+    for (int i = 0; i < left->count; i++) {
+        S->winner_cells[i] = left->order[i];
+        S->winner_values[i] = left->value[left->order[i]];
+    }
+    for (int i = 0; i < right->count; i++) {
+        S->winner_cells[R->n_cells + i] = right->order[i];
+        S->winner_values[R->n_cells + i] = right->value[right->order[i]];
+    }
+}
+
 /* The whole search: enumerate every candidate bottom row's insertion points
-   in sweep order, score each, and keep the winner as
-   repro.mgl.fop.reduce_points does.  Returns OK, NO_MEMORY or BAD_REGION. */
+   in sweep order, score each, keep the winner as repro.mgl.fop.reduce_points
+   does, and emit the winner's shift outcome.  Returns OK, NO_MEMORY or
+   BAD_REGION. */
 int fop_search_region(fop_search *S)
 {
-    fop_region R = {S->n_cells, S->x, S->gp_x, S->order_asc, S->cell_row_start,
+    fop_region R = {S->n_cells, S->x, S->gp_x, S->cell_row_start,
                     S->n_rows, S->row_start, S->row_cells, S->row_seg_lo, S->row_seg_hi,
                     S->target_gp_x, S->target_gp_y, S->target_width, S->vertical_cost_factor,
                     S->height, S->fwd_bwd,
-                    NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL};
+                    NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL};
     S->n_points = S->n_feasible = 0;
     S->winner = -1;
+    S->winner_n_left = S->winner_n_right = 0;
+    S->winner_xt_lo = S->winner_xt_hi = NAN;
     if (S->n_cells < 0 || S->n_rows < 0 || S->height < 1 || S->cell_row_start[0] != 0
         || S->row_start[0] != 0)
         return BAD_REGION;
@@ -624,13 +667,13 @@ int fop_search_region(fop_search *S)
     size_t n_sub = (size_t)S->cell_row_start[S->n_cells];
     size_t n_prefix = (size_t)S->row_start[S->n_rows] + (size_t)S->n_rows;
     size_t cap = 1 + 2 * nc; /* pieces of a feasible point: target + 2 per cell */
-    int *ints = calloc(7 * nc + 2 * cap + 2 * n_sub + (size_t)S->height, sizeof(int));
+    int *ints = calloc(8 * nc + 2 * cap + 2 * n_sub + (size_t)S->height, sizeof(int));
     double *dbls = malloc((5 * nc + 9 * cap + n_prefix) * sizeof(double));
-    centre *centres = malloc(nc * sizeof(centre));
-    if (ints == NULL || dbls == NULL || centres == NULL) {
+    keyed *keys = malloc(nc * sizeof(keyed));
+    if (ints == NULL || dbls == NULL || keys == NULL) {
         free(ints);
         free(dbls);
-        free(centres);
+        free(keys);
         return NO_MEMORY;
     }
     thresholds left = {ints, dbls, ints + nc, 0};
@@ -642,10 +685,11 @@ int fop_search_region(fop_search *S)
                 d + 3 * cap, d + 4 * cap, d + 5 * cap,
                 d + 6 * cap, d + 7 * cap, d + 8 * cap};
     int *derived = ints + 4 * nc + 2 * cap;
-    R.order_desc = derived;
-    R.rank_desc = derived + nc;
-    R.rank_asc = derived + 2 * nc;
-    R.cell_pos = derived + 3 * nc;
+    R.order_asc = derived;
+    R.order_desc = derived + nc;
+    R.rank_desc = derived + 2 * nc;
+    R.rank_asc = derived + 3 * nc;
+    R.cell_pos = derived + 4 * nc;
     R.cell_rows = R.cell_pos + n_sub;
     int *split = R.cell_rows + n_sub;
     R.right = dbls + 2 * nc + 9 * cap;
@@ -653,12 +697,13 @@ int fop_search_region(fop_search *S)
     R.seg_hi = R.seg_lo + nc;
     double *prefix = R.seg_hi + nc;
 
-    int rc = derive_region(S, &R, prefix);
+    int rc = derive_region(S, &R, prefix, keys);
+    /* The sweep order: Python's sort key (x + width / 2.0, idx). */
     for (int i = 0; rc == OK && i < S->n_cells; i++) {
-        centres[i].key = S->x[i] + S->width[i] / 2.0;
-        centres[i].idx = i;
+        keys[i].key = S->x[i] + S->width[i] / 2.0;
+        keys[i].idx = i;
     }
-    if (rc == OK) qsort(centres, (size_t)S->n_cells, sizeof(centre), by_centre);
+    if (rc == OK) qsort(keys, (size_t)S->n_cells, sizeof(keyed), by_key);
 
     int cap_pts = S->capacity;
     double best_cost = INFINITY, best_x = 0.0;
@@ -670,7 +715,7 @@ int fop_search_region(fop_search *S)
            moving that cell to the target's left in every row it covers. */
         for (int e = -1; e < S->n_cells; e++) {
             if (e >= 0) {
-                int idx = centres[e].idx, touched = 0;
+                int idx = keys[e].idx, touched = 0;
                 for (int s = R.cell_row_start[idx]; s < R.cell_row_start[idx + 1]; s++) {
                     int j = R.cell_rows[s] - bd;
                     if (j >= 0 && j < R.height) {
@@ -708,8 +753,9 @@ int fop_search_region(fop_search *S)
             }
         }
     }
+    if (rc == OK && S->winner >= 0) emit_winner(S, &R, &left, &right, S->n_points + 1);
     free(ints);
     free(dbls);
-    free(centres);
+    free(keys);
     return rc;
 }

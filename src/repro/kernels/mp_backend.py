@@ -286,6 +286,7 @@ class MultiprocessKernelBackend(NumpyKernelBackend):
         search = super().search_region(region, target, bottom_rows, config)
         if search is not None:
             return search
+        config.shifter.prepare(region)
         points = region_points(region, target, bottom_rows)
         if self.should_parallelize_fop(region, points, config):
             scored = self.evaluate_points_parallel(region, target, points, config)

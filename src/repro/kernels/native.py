@@ -7,15 +7,20 @@ construction, curve minimization and site snapping) and keeps the best.
 included, inside ``fop_native.c`` (one ``ctypes`` call per region) and
 returns the same :class:`~repro.kernels.base.RegionSearch` as the Python
 reference :func:`repro.mgl.fop.search_points`, bit for bit.  Python packs
-the region's cells and rows into two flat arrays; the kernel derives the
-processing ranks, subcell positions and per-cell segment bounds itself.
-The C code transcribes the Python reference operation by operation (see
-the comment at its top); ``tests/test_native.py`` holds the two equal on
-real, synthetic and hand-built regions and on whole legalizations.
+the region's cells and rows into two flat arrays; the kernel sorts the
+cells by x itself (the SACS pre-sort) and derives the processing ranks,
+subcell positions and per-cell segment bounds.  The C code transcribes
+the Python reference operation by operation (see the comment at its
+top); ``tests/test_native.py`` holds the two equal on real, synthetic
+and hand-built regions and on whole legalizations.
 
-Shift outcomes are not materialized: the winner carries ``None`` and FOP
-re-derives its outcome, as it does for the multiprocess backend's worker
-chunks.
+The kernel writes each point's work counts into columns that become the
+search's :class:`~repro.perf.counters.PointColumns` as they are, and it
+returns the winner's shift outcome: its left and right thresholds in the
+reference's dict order and its ``x_t`` interval, from which
+:meth:`NativeFOP.search_region` builds the
+:class:`~repro.mgl.shifting.ShiftOutcome` that FOP commits.  Like the
+FPGA's FOP PEs, the search hands the host only the winner.
 
 The shared library is compiled on first use with ``$CC`` (default
 ``cc``), ``-O2 -ffp-contract=off`` and no fast-math (contraction into
@@ -47,7 +52,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.kernels.base import RegionSearch
 from repro.mgl.insertion import InsertionPoint
-from repro.perf.counters import InsertionPointWork
+from repro.mgl.shifting import ShiftOutcome
+from repro.perf.counters import PointColumns, PointRun
 
 SOURCE = Path(__file__).with_name("fop_native.c")
 CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
@@ -69,7 +75,7 @@ class _Search(ctypes.Structure):
     _fields_ = [
         ("n_cells", ctypes.c_int),
         *[(name, ctypes.c_void_p) for name in ("x", "width", "gp_x")],
-        *[(name, ctypes.c_void_p) for name in ("order_asc", "cell_row_start", "cell_rows")],
+        *[(name, ctypes.c_void_p) for name in ("cell_row_start", "cell_rows")],
         ("row_base", ctypes.c_int),
         ("n_rows", ctypes.c_int),
         *[(name, ctypes.c_void_p) for name in ("row_start", "row_cells", "row_seg_lo", "row_seg_hi")],
@@ -90,6 +96,12 @@ class _Search(ctypes.Structure):
         ("winner", ctypes.c_int),
         ("winner_bottom", ctypes.c_int),
         ("winner_split", ctypes.c_void_p),
+        ("winner_cells", ctypes.c_void_p),
+        ("winner_values", ctypes.c_void_p),
+        ("winner_n_left", ctypes.c_int),
+        ("winner_n_right", ctypes.c_int),
+        ("winner_xt_lo", ctypes.c_double),
+        ("winner_xt_hi", ctypes.c_double),
     ]
 
 
@@ -187,21 +199,19 @@ class NativeFOP:
         return f"native FOP kernel: {self.path}"
 
     # ------------------------------------------------------------------
-    def search_region(self, region, target, bottom_rows, context, config) -> Optional[RegionSearch]:
+    def search_region(self, region, target, bottom_rows, config) -> Optional[RegionSearch]:
         """Enumerate, score and reduce the insertion points of ``bottom_rows``.
 
-        ``context`` is the region's SACS context (its once-per-region
-        sort report is consumed here, as the first shift call would).
         Returns the :class:`~repro.kernels.base.RegionSearch` that
         :func:`repro.mgl.fop.search_points` returns on the reference
-        backend, with a ``None`` winner outcome, or ``None`` when the
-        library is unavailable.
+        backend, winner outcome included, or ``None`` when the library
+        is unavailable.
         """
         lib = self.load()
         if lib is None:
             return None
         cells = region.local_cells
-        row_indices = context.row_indices
+        row_indices = region.row_cells
         base = min(row_indices, default=0)
         n_rows = max(row_indices) - base + 1 if row_indices else 0
         row_start, row_cells = [0], []
@@ -213,6 +223,7 @@ class NativeFOP:
             if segment is not None:
                 row_seg_lo[dense], row_seg_hi[dense] = segment.x_lo, segment.x_hi
         x, width, gp_x, cell_row_start, cell_rows = [], [], [], [0], []
+        multirow = tall = 0
         for lc in cells:
             cell = lc.cell
             x.append(lc.x)
@@ -220,6 +231,10 @@ class NativeFOP:
             gp_x.append(cell.gp_x)
             cell_rows += lc.rows
             cell_row_start.append(len(cell_rows))
+            if cell.height > 1:
+                multirow += 1
+                if cell.height > 3:
+                    tall += 1
         # The packed arrays must outlive the call: keep them bound.
         doubles, pointers = _pack("d", (
             ("x", x),
@@ -229,7 +244,6 @@ class NativeFOP:
             ("row_seg_hi", row_seg_hi),
         ))
         ints, int_pointers = _pack("i", (
-            ("order_asc", context.order_asc),
             ("cell_row_start", cell_row_start),
             ("cell_rows", cell_rows),
             ("row_start", row_start),
@@ -237,14 +251,19 @@ class NativeFOP:
             ("bottoms", bottom_rows),
         ))
         pointers.update(int_pointers)
+        n_local = len(cells)
         height = target.height
         # At most one point per swept cell, plus the all-right one, per row.
         capacity = len(bottom_rows) * (len(cells) + 1)
-        point_ints = array("i", bytes(4 * (_POINT_COLUMNS * capacity + height)))
-        point_scores = array("d", bytes(8 * 2 * capacity))
+        # point_ints: the per-point columns, the winner's split, then its
+        # outcome cells; point_scores: sites, costs, then the thresholds.
+        split_at = _POINT_COLUMNS * capacity
+        cells_at = split_at + height
+        point_ints = array("i", bytes(4 * (cells_at + 2 * n_local)))
+        point_scores = array("d", bytes(8 * (2 * capacity + 2 * n_local)))
         ints_at, scores_at = point_ints.buffer_info()[0], point_scores.buffer_info()[0]
         search = _Search(
-            n_cells=len(cells),
+            n_cells=n_local,
             row_base=base,
             n_rows=n_rows,
             target_gp_x=target.gp_x,
@@ -258,7 +277,9 @@ class NativeFOP:
             capacity=capacity,
             point_ints=ints_at,
             point_scores=scores_at,
-            winner_split=ints_at + point_ints.itemsize * _POINT_COLUMNS * capacity,
+            winner_split=ints_at + point_ints.itemsize * split_at,
+            winner_cells=ints_at + point_ints.itemsize * cells_at,
+            winner_values=scores_at + point_scores.itemsize * 2 * capacity,
             **pointers,
         )
         rc = lib.fop_search_region(ctypes.byref(search))
@@ -268,32 +289,43 @@ class NativeFOP:
             raise ValueError("the localRegion's rows, cells and candidate rows are inconsistent")
 
         n = search.n_points
-        columns = [point_ints[k * capacity : k * capacity + n].tolist() for k in range(_POINT_COLUMNS)]
-        n_local = len(cells)
-        n_sub = len(cell_rows)  # the kernel checked it against the rows
-        visits = 2 * context.sort_size
-        multirow = 2 * context.multirow_cells
-        tall = 2 * context.tall_cells
-        works = [
-            InsertionPointWork(
-                n_local, n_sub, 2, visits, n_left, n_right, n_bp, n_merged, 0, multirow, tall,
-                feasible == 1,
-            )
-            for feasible, n_left, n_right, n_bp, n_merged in zip(*columns)
-        ]
-        if works and not context.consumed_sort_report:
-            works[0].sort_size = context.sort_size
-            context.consumed_sort_report = True
+        points = PointColumns(
+            *(point_ints[k * capacity : k * capacity + n] for k in range(_POINT_COLUMNS))
+        )
+        # The kernel's SACS counters are region constants: one visit per
+        # cell and phase, and the once-per-region sort on the first point.
+        points.add_run(PointRun(
+            n, n_local, len(cell_rows), 2, 2 * n_local, 2 * multirow, 2 * tall, n_local
+        ))
         sites = point_scores[:n].tolist()
         costs = point_scores[capacity : capacity + n].tolist()
         winner = None
         if search.winner >= 0:
             bottom = search.winner_bottom
             rows = tuple(range(bottom, bottom + height))
-            split = point_ints[_POINT_COLUMNS * capacity :].tolist()
+            split = point_ints[split_at:cells_at].tolist()
             insertion = InsertionPoint(bottom, rows, tuple(zip(rows, split)))
-            winner = (insertion, sites[search.winner], costs[search.winner], None)
-        return RegionSearch(works, sites, costs, search.n_feasible, winner)
+            values_at = 2 * capacity
+            n_left, n_right = search.winner_n_left, search.winner_n_right
+            outcome = ShiftOutcome(
+                left_thresholds=dict(zip(
+                    point_ints[cells_at : cells_at + n_left].tolist(),
+                    point_scores[values_at : values_at + n_left].tolist(),
+                )),
+                right_thresholds=dict(zip(
+                    point_ints[cells_at + n_local : cells_at + n_local + n_right].tolist(),
+                    point_scores[values_at + n_local : values_at + n_local + n_right].tolist(),
+                )),
+                xt_lo=search.winner_xt_lo,
+                xt_hi=search.winner_xt_hi,
+                feasible=True,
+                passes=2,
+                cell_visits=2 * n_local,
+                multirow_accesses=2 * multirow,
+                tall_accesses=2 * tall,
+            )
+            winner = (insertion, sites[search.winner], costs[search.winner], outcome)
+        return RegionSearch(points, sites, costs, search.n_feasible, winner)
 
 
 if __name__ == "__main__":

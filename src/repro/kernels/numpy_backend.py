@@ -5,10 +5,10 @@ For SACS configurations FOP hands each region's candidate bottom rows to
 One call into the C kernel of :mod:`repro.kernels.native` then
 enumerates the region's insertion points, scores each (SACS shifting,
 curves, minimization and snapping) and reduces them to the winner, bit
-for bit equal to the reference.  Everything else — the original
-shifter's staged curve pipeline, single SACS shifts (FOP re-deriving the
-winner's outcome) and every SACS region on a host that cannot build the
-kernel — runs the scalar reference inherited from
+for bit equal to the reference, and returns the winner's shift outcome
+with it.  Everything else — the original shifter's staged curve
+pipeline and every SACS region on a host that cannot build the kernel —
+runs the scalar reference inherited from
 :class:`~repro.kernels.base.KernelBackend`.
 """
 
@@ -37,9 +37,6 @@ class NumpyKernelBackend(KernelBackend):
         """
         from repro.core.sacs import SortAheadShifter  # repro.core imports this module
 
-        shifter = config.shifter
-        if not isinstance(shifter, SortAheadShifter):
+        if not isinstance(config.shifter, SortAheadShifter):
             return None
-        return self.native.search_region(
-            region, target, bottom_rows, shifter.context_for(region), config
-        )
+        return self.native.search_region(region, target, bottom_rows, config)

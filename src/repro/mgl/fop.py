@@ -7,9 +7,9 @@ shifting followed by the displacement-curve pipeline to obtain the best
 target position and its cost.  The insertion point with the overall
 lowest cost wins.
 
-The work performed per insertion point is recorded into
-:class:`~repro.perf.counters.InsertionPointWork` entries so that the
-CPU cost models and the FPGA cycle models can replay it.
+The work performed per insertion point is recorded in the target's
+:class:`~repro.perf.counters.PointColumns` so that the CPU cost models
+and the FPGA cycle models can replay it.
 
 The numeric inner loops (curve construction, minimization, snapping) are
 delegated to a kernel backend (:mod:`repro.kernels`) selected
@@ -18,9 +18,11 @@ is the pure-Python oracle the backends must match bit for bit.  A
 backend may also take over the whole search of a region — enumeration,
 scoring and reduction — in one step
 (:meth:`~repro.kernels.base.KernelBackend.search_region`; the ``numpy``
-backend's native kernel does so for SACS, and the ``multiprocess``
-backend chunks heavy original-shifter regions across its worker pool);
-:func:`search_points` is the Python reference of that step.
+backend's native kernel does so for SACS and returns the winner's shift
+outcome with it, as the FPGA returns only the winner to the host, and
+the ``multiprocess`` backend chunks heavy original-shifter regions
+across its worker pool); :func:`search_points` is the Python reference
+of that step.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.mgl.insertion import (
     enumerate_insertion_points,
 )
 from repro.mgl.shifting import OriginalShifter, ShiftOutcome
-from repro.perf.counters import InsertionPointWork, TargetCellWork
+from repro.perf.counters import InsertionPointWork, PointColumns, TargetCellWork
 
 _EPS = 1e-9
 
@@ -167,33 +169,33 @@ def find_optimal_position(
 ) -> FOPResult:
     """Run FOP for one target cell inside its localRegion.
 
-    ``work`` (when given) receives one :class:`InsertionPointWork` entry
-    per evaluated insertion point; the caller owns the record.
+    ``work`` (when given) receives the work counts of every evaluated
+    insertion point; the caller owns the record.
     """
     config = config or FOPConfig()
     backend = resolve_backend(config.backend)
-    config.shifter.prepare(region)
     bottom_rows = candidate_bottom_rows(region, target)
     # A backend with a whole-region search (the native kernel) enumerates,
     # scores and reduces the points in one call, before any Python
-    # enumeration.
+    # enumeration, and needs no prepared shifter.
     search = backend.search_region(region, target, bottom_rows, config)
     if search is None:
+        config.shifter.prepare(region)
         search = search_points(region, target, bottom_rows, config, backend)
     if work is not None:
-        work.extend_insertion_points(search.works)
+        work.points.extend(search.points)
     result = FOPResult(
         feasible=search.winner is not None,
-        n_points_evaluated=len(search.works),
+        n_points_evaluated=len(search.points),
         n_points_feasible=search.n_feasible,
         n_candidate_rows=len(bottom_rows),
     )
     if search.winner is not None:
         insertion, result.x, result.cost, outcome = search.winner
         if outcome is None:
-            # Worker and native paths: re-derive the winning point's
-            # shift outcome (the shifting chains are pure functions of the
-            # region state).
+            # Scored in a multiprocess worker: re-derive the winning
+            # point's shift outcome (the shifting chains are pure
+            # functions of the region state).
             outcome = config.shifter.shift(region, target, insertion)
         result.bottom_row = insertion.bottom_row
         result.insertion = insertion
@@ -236,14 +238,14 @@ def reduce_points(scored: Sequence[ScoredPoint], gp_x: float) -> RegionSearch:
     A strictly lower cost (beyond the epsilon) wins; an equal cost wins
     only when its site is strictly closer to the target's global x.
     """
-    works: List[InsertionPointWork] = []
+    points = PointColumns()
     sites: List[float] = []
     costs: List[float] = []
     n_feasible = 0
     winner = None
     best_cost = math.inf
     for insertion, best_x, cost, outcome, ip_work in scored:
-        works.append(ip_work)
+        points.append(ip_work)
         sites.append(math.nan if best_x is None else best_x)
         costs.append(cost)
         if best_x is None:
@@ -256,7 +258,7 @@ def reduce_points(scored: Sequence[ScoredPoint], gp_x: float) -> RegionSearch:
         if better or tie:
             best_cost = cost
             winner = (insertion, best_x, cost, outcome)
-    return RegionSearch(works, sites, costs, n_feasible, winner)
+    return RegionSearch(points, sites, costs, n_feasible, winner)
 
 
 def evaluate_point_list(

@@ -26,6 +26,8 @@ from repro.perf.counters import (
     IncrementalStats,
     InsertionPointWork,
     LegalizationTrace,
+    PointColumns,
+    PointRun,
     TargetCellWork,
 )
 from repro.perf.cost_model import CpuCostModel, CpuCostParameters
@@ -38,6 +40,8 @@ __all__ = [
     "FOP_STAGES",
     "IncrementalStats",
     "InsertionPointWork",
+    "PointColumns",
+    "PointRun",
     "TargetCellWork",
     "LegalizationTrace",
     "CpuCostModel",

@@ -17,11 +17,12 @@ sensitivity studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, Optional
 
-from repro.perf.counters import FOP_STAGES, LegalizationTrace
+from repro.perf.counters import FOP_STAGES, LegalizationTrace, sort_work
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,26 @@ class CpuCostModel:
 
     # ------------------------------------------------------------------
     def fop_stage_seconds(self, trace: LegalizationTrace) -> Dict[str, float]:
-        """Modeled CPU seconds per FOP stage (drives Fig. 2(g))."""
+        """Modeled CPU seconds per FOP stage (drives Fig. 2(g)).
+
+        Each stage is a left fold over every insertion point in
+        enumeration order; a point's nanoseconds are a function of its
+        run's visits or of its clamped breakpoint counts, evaluated once
+        per distinct count.
+        """
         p = self.params
-        seconds = {stage: 0.0 for stage in FOP_STAGES}
-        for ip in trace.iter_insertion_points():
-            n_bp = max(1, ip.n_breakpoints)
-            n_merged = max(1, ip.n_merged_breakpoints)
-            seconds["cell_shift"] += ip.shift_cell_visits * p.shift_per_visit_ns
-            seconds["sort_bp"] += n_bp * max(1.0, math.log2(n_bp)) * p.sort_per_item_log_ns
-            seconds["merge_bp"] += n_bp * p.bp_per_item_ns
-            seconds["sum_slopesR"] += n_merged * p.bp_per_item_ns
-            seconds["sum_slopesL"] += n_merged * p.bp_per_item_ns
-            seconds["calculate_value"] += n_merged * p.bp_per_item_ns
+        points = trace.point_columns()
+        bps, ms = points.n_breakpoints, points.n_merged_breakpoints
+        shift_ns = points.by_run(lambda run: run.shift_cell_visits * p.shift_per_visit_ns)
+        sort_ns = {b: sort_work(b) * p.sort_per_item_log_ns for b in set(bps)}
+        merge_ns = {b: max(1, b) * p.bp_per_item_ns for b in set(bps)}
+        merged_ns = {m: max(1, m) * p.bp_per_item_ns for m in set(ms)}
+        shift = reduce(add, shift_ns, 0.0)
+        sort = reduce(add, map(sort_ns.__getitem__, bps), 0.0)
+        merge = reduce(add, map(merge_ns.__getitem__, bps), 0.0)
+        merged = reduce(add, map(merged_ns.__getitem__, ms), 0.0)
+        # The three merged-breakpoint stages cost the same per point.
+        seconds = dict(zip(FOP_STAGES, (shift, sort, merge, merged, merged, merged)))
         return {k: v * 1e-9 for k, v in seconds.items()}
 
     def breakdown(self, trace: LegalizationTrace) -> CpuTimeBreakdown:
@@ -144,21 +153,27 @@ class CpuCostModel:
         commits the update of target ``i-1``.
         """
         p = self.params
+        points = trace.point_columns()
+        sort_ns = {b: sort_work(b) * p.sort_per_item_log_ns for b in set(points.n_breakpoints)}
+        merge_ns = {b: max(1, b) * p.bp_per_item_ns for b in sort_ns}
+        merged_ns = {m: 3 * max(1, m) * p.bp_per_item_ns for m in set(points.n_merged_breakpoints)}
+        fop_seconds = [
+            (shift_ns + sort_ns[b] + merge_ns[b] + merged_ns[m] + p.insertion_point_overhead_ns)
+            * 1e-9
+            for shift_ns, b, m in zip(
+                points.by_run(lambda run: run.shift_cell_visits * p.shift_per_visit_ns),
+                points.n_breakpoints,
+                points.n_merged_breakpoints,
+            )
+        ]
         out: Dict[int, Dict[str, float]] = {}
+        start = 0
         for work in trace.targets:
             region_s = work.region_transfer_words * p.region_per_word_ns * 1e-9
             update_s = (work.update_moved_cells + 1) * p.update_per_move_ns * 1e-9
-            fop_s = 0.0
-            for ip in work.insertion_points:
-                n_bp = max(1, ip.n_breakpoints)
-                n_merged = max(1, ip.n_merged_breakpoints)
-                fop_s += (
-                    ip.shift_cell_visits * p.shift_per_visit_ns
-                    + n_bp * max(1.0, math.log2(n_bp)) * p.sort_per_item_log_ns
-                    + n_bp * p.bp_per_item_ns
-                    + 3 * n_merged * p.bp_per_item_ns
-                    + p.insertion_point_overhead_ns
-                ) * 1e-9
+            stop = start + work.n_insertion_points
+            fop_s = reduce(add, fop_seconds[start:stop], 0.0)
+            start = stop
             fop_s += p.target_overhead_ns * 1e-9
             out[work.cell_index] = {"region": region_s, "update": update_s, "fop": fop_s}
         return out

@@ -11,8 +11,15 @@ harness.
 
 The granularity mirrors the decomposition of the paper:
 
-* :class:`InsertionPointWork` — one entry per insertion point evaluated
+* :class:`InsertionPointWork` — the work of one insertion point evaluated
   inside FOP (paper Fig. 3(e), the body of loop3);
+* :class:`PointColumns` — the insertion points of one region search or
+  one target cell, stored as columns: the per-point counts plus one
+  :class:`PointRun` of region constants per run of points that share
+  them.  The native FOP kernel's per-point output extends it directly,
+  and the CPU cost and FPGA cycle models reduce over its columns;
+  :class:`InsertionPointWork` objects are only built on demand, as
+  read-only views;
 * :class:`TargetCellWork` — one entry per legalized target cell, covering
   steps (b)–(e) for that cell;
 * :class:`LegalizationTrace` — the whole run, including the serial
@@ -21,8 +28,12 @@ The granularity mirrors the decomposition of the paper:
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
 #: The six operations inside the FOP inner loop, in paper order (Fig. 3(e)).
@@ -34,6 +45,12 @@ FOP_STAGES: Tuple[str, ...] = (
     "sum_slopesL",
     "calculate_value",
 )
+
+
+def sort_work(n_breakpoints: int) -> float:
+    """``n log n`` work units of sorting a point's breakpoints (at least one)."""
+    n_bp = max(1, n_breakpoints)
+    return n_bp * max(1.0, math.log2(n_bp))
 
 
 @dataclass
@@ -95,6 +112,114 @@ class InsertionPointWork:
         return self.chain_left + self.chain_right
 
 
+class PointRun(NamedTuple):
+    """The region constants of a run of consecutive insertion points.
+
+    The fields carry :class:`InsertionPointWork`'s names, so the cycle
+    models take a run wherever they take one point's work.  A SACS
+    region search is one run: its shifting counters are the same at
+    every point.  The original shifter's pass counts vary per point, so
+    its runs are shorter.  ``sort_size`` belongs to the run's first
+    point only (the region is pre-sorted once).
+    """
+
+    n_points: int
+    n_local_cells: int
+    n_subcells: int
+    shift_passes: int
+    shift_cell_visits: int
+    multirow_accesses: int
+    tall_accesses: int
+    sort_size: int
+
+
+def _int_column() -> array:
+    return array("i")
+
+
+@dataclass
+class PointColumns:
+    """Insertion-point work in enumeration order, as columns.
+
+    ``feasible`` (0/1), ``chain_left``, ``chain_right``,
+    ``n_breakpoints`` and ``n_merged_breakpoints`` hold one entry per
+    point; ``runs`` covers the same points with their region constants.
+    Runs are kept maximal (a run is merged into the one before it when
+    its constants match and it reports no sort), so equal point
+    sequences compare equal however they were appended.  Iterating
+    yields :class:`InsertionPointWork` views.
+    """
+
+    feasible: array = field(default_factory=_int_column)
+    chain_left: array = field(default_factory=_int_column)
+    chain_right: array = field(default_factory=_int_column)
+    n_breakpoints: array = field(default_factory=_int_column)
+    n_merged_breakpoints: array = field(default_factory=_int_column)
+    runs: List[PointRun] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.feasible)
+
+    def add_run(self, run: PointRun) -> None:
+        """Cover the next ``run.n_points`` points (their columns are
+        appended separately)."""
+        if self.runs and run.sort_size == 0 and self.runs[-1][1:-1] == run[1:-1]:
+            last = self.runs[-1]
+            self.runs[-1] = last._replace(n_points=last.n_points + run.n_points)
+        elif run.n_points:
+            self.runs.append(run)
+
+    def append(self, work: InsertionPointWork) -> None:
+        """Append one point (the reference search and the worker transport)."""
+        self.feasible.append(1 if work.feasible else 0)
+        self.chain_left.append(work.chain_left)
+        self.chain_right.append(work.chain_right)
+        self.n_breakpoints.append(work.n_breakpoints)
+        self.n_merged_breakpoints.append(work.n_merged_breakpoints)
+        self.add_run(PointRun(
+            1, work.n_local_cells, work.n_subcells, work.shift_passes, work.shift_cell_visits,
+            work.multirow_accesses, work.tall_accesses, work.sort_size,
+        ))
+
+    def extend(self, other: "PointColumns") -> None:
+        """Append every point of ``other``."""
+        self.feasible.extend(other.feasible)
+        self.chain_left.extend(other.chain_left)
+        self.chain_right.extend(other.chain_right)
+        self.n_breakpoints.extend(other.n_breakpoints)
+        self.n_merged_breakpoints.extend(other.n_merged_breakpoints)
+        for run in other.runs:
+            self.add_run(run)
+
+    def by_run(self, fn: Callable[[PointRun], Any]) -> List[Any]:
+        """``fn(run)`` for every point, in order (evaluated once per run)."""
+        column: List[Any] = []
+        for run in self.runs:
+            column += [fn(run)] * run.n_points
+        return column
+
+    def __iter__(self) -> Iterator[InsertionPointWork]:
+        stop = 0
+        for run in self.runs:
+            start, stop = stop, stop + run.n_points
+            for i in range(start, stop):
+                yield InsertionPointWork(
+                    run.n_local_cells, run.n_subcells, run.shift_passes,
+                    run.shift_cell_visits, self.chain_left[i], self.chain_right[i],
+                    self.n_breakpoints[i], self.n_merged_breakpoints[i],
+                    run.sort_size if i == start else 0, run.multirow_accesses,
+                    run.tall_accesses, self.feasible[i] == 1,
+                )
+
+    @classmethod
+    def of(cls, works: Iterable[InsertionPointWork]) -> "PointColumns":
+        """Columns holding ``works``, in order."""
+        columns = cls()
+        for work in works:
+            columns.append(work)
+        return columns
+
+
 @dataclass
 class TargetCellWork:
     """Work performed to legalize one target cell (steps b–e)."""
@@ -105,7 +230,6 @@ class TargetCellWork:
     n_local_cells: int = 0
     n_subcells: int = 0
     n_rows: int = 0
-    n_insertion_points: int = 0
     window_retries: int = 0
     planner_growths: int = 0
     """Number of growth steps the occupancy-aware window planner applied
@@ -121,12 +245,18 @@ class TargetCellWork:
     fallback then found no free slot either (the cell stays unplaced)."""
     region_transfer_words: int = 0
     update_moved_cells: int = 0
-    insertion_points: List[InsertionPointWork] = field(default_factory=list)
+    points: PointColumns = field(default_factory=PointColumns)
+    """Every insertion point evaluated for the cell, over all retries."""
 
     # ------------------------------------------------------------------
-    def extend_insertion_points(self, works: Iterable[InsertionPointWork]) -> None:
-        self.insertion_points.extend(works)
-        self.n_insertion_points = len(self.insertion_points)
+    @property
+    def n_insertion_points(self) -> int:
+        return len(self.points)
+
+    @property
+    def insertion_points(self) -> List[InsertionPointWork]:
+        """The points as :class:`InsertionPointWork` views (built on each access)."""
+        return list(self.points)
 
     @property
     def retry0_feasible(self) -> bool:
@@ -137,17 +267,17 @@ class TargetCellWork:
     @property
     def total_shift_visits(self) -> int:
         """Total shifting visits across the cell's insertion points."""
-        return sum(ip.shift_cell_visits for ip in self.insertion_points)
+        return sum(run.n_points * run.shift_cell_visits for run in self.points.runs)
 
     @property
     def total_breakpoints(self) -> int:
         """Total breakpoint pieces across the cell's insertion points."""
-        return sum(ip.n_breakpoints for ip in self.insertion_points)
+        return sum(self.points.n_breakpoints)
 
     @property
     def total_sort_items(self) -> int:
         """Total items pre-sorted for this cell's region(s)."""
-        return sum(ip.sort_size for ip in self.insertion_points)
+        return sum(run.sort_size for run in self.points.runs)
 
 
 @dataclass
@@ -367,9 +497,17 @@ class LegalizationTrace:
     def total_update_moves(self) -> int:
         return sum(t.update_moved_cells for t in self.targets)
 
-    def iter_insertion_points(self) -> Iterable[InsertionPointWork]:
+    def point_columns(self) -> PointColumns:
+        """Every insertion point of the run, in enumeration order."""
+        points = PointColumns()
         for target in self.targets:
-            yield from target.insertion_points
+            points.extend(target.points)
+        return points
+
+    def iter_insertion_points(self) -> Iterable[InsertionPointWork]:
+        """Every insertion point as an :class:`InsertionPointWork` view."""
+        for target in self.targets:
+            yield from target.points
 
     # ------------------------------------------------------------------
     def fop_stage_workload(self) -> Dict[str, float]:
@@ -380,19 +518,20 @@ class LegalizationTrace:
         breakpoint sort, and the number of (merged) breakpoints for the
         remaining stages.
         """
-        import math
-
-        work = {stage: 0.0 for stage in FOP_STAGES}
-        for ip in self.iter_insertion_points():
-            n_bp = max(1, ip.n_breakpoints)
-            n_merged = max(1, ip.n_merged_breakpoints)
-            work["cell_shift"] += ip.shift_cell_visits
-            work["sort_bp"] += n_bp * max(1.0, math.log2(n_bp))
-            work["merge_bp"] += n_bp
-            work["sum_slopesR"] += n_merged
-            work["sum_slopesL"] += n_merged
-            work["calculate_value"] += n_merged
-        return work
+        points = self.point_columns()
+        bps, ms = points.n_breakpoints, points.n_merged_breakpoints
+        # Left folds in enumeration order; a point's units are a function
+        # of its counts (clamped to one breakpoint), computed once per count.
+        sorts = {b: sort_work(b) for b in set(bps)}
+        clamped = {n: max(1, n) for n in {*bps, *ms}}
+        merged = reduce(add, map(clamped.__getitem__, ms), 0.0)
+        # The three merged-breakpoint stages do the same work per point.
+        return dict(zip(FOP_STAGES, (
+            reduce(add, points.by_run(lambda run: run.shift_cell_visits), 0.0),
+            reduce(add, map(sorts.__getitem__, bps), 0.0),
+            reduce(add, map(clamped.__getitem__, bps), 0.0),
+            merged, merged, merged,
+        )))
 
     def cell_shift_fraction(self) -> float:
         """Fraction of abstract FOP work spent in cell shifting (Fig. 2(g))."""

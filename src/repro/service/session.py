@@ -110,10 +110,6 @@ class SessionConfig:
         same range checks the engine itself enforces.
         """
         if self.backend is not None:
-            if not isinstance(self.backend, str):
-                raise TypeError(
-                    f"'backend' must be a string, got {type(self.backend).__name__}"
-                )
             try:
                 get_kernel_backend(self.backend)
             except KeyError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -153,6 +154,13 @@ class TestRegistry:
     def test_flex_config_validates_backend(self):
         with pytest.raises(ValueError, match="kernel_backend"):
             FlexConfig(kernel_backend="no-such-backend").validate()
+
+    @pytest.mark.parametrize("spec", [5, b"numpy", ("numpy",)])
+    def test_non_string_spec_is_a_value_error(self, spec):
+        with pytest.raises(ValueError, match=re.escape(f"got {spec!r}")):
+            get_kernel_backend(spec)
+        with pytest.raises(ValueError, match="kernel_backend"):
+            FlexConfig(kernel_backend=spec).validate()
 
     @needs_numpy
     def test_flex_config_label_mentions_non_default_backend(self):

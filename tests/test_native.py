@@ -3,14 +3,14 @@
 :class:`repro.kernels.native.NativeFOP` runs FOP's whole search over a
 localRegion in C: it enumerates the insertion points, scores them and
 reduces them to the winner.  Everything it returns (every point's work
-record, site and cost, the feasible count, the winner, and whether the
-once-per-region sort report was consumed) must equal the pure-Python
+counts, site and cost, the feasible count, the winner, and the winner's
+shift outcome, dict order included) must equal the pure-Python
 reference (Python enumeration, ``evaluate_point_list`` and the
 reduction on the ``python`` backend) on generated regions, on synthetic
 regions built to hit the epsilon merges and near-tie comparisons, on
-hand-built regions for each enumeration and reduction branch, and
-through whole legalizations.  Without a compiler the numpy backend must
-fall back to the Python reference search with identical results.
+hand-built regions for each enumeration, reduction and outcome branch,
+and through whole legalizations.  Without a compiler the numpy backend
+must fall back to the Python reference search with identical results.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.sacs import SortAheadShifter
+from repro.core import FlexConfig, FlexLegalizer
+from repro.core import sacs
+from repro.core.sacs import SortAheadShifter, build_sacs_context, shift_cells_sacs
 from repro.geometry import Cell, Window
 from repro.geometry.interval import Interval
 from repro.geometry.region import LocalRegion, LocalSegment
@@ -34,6 +36,8 @@ from repro.mgl import MGLLegalizer
 from repro.mgl.fop import FOPConfig, find_optimal_position, search_points
 from repro.mgl.insertion import candidate_bottom_rows, enumerate_insertion_points
 from repro.mgl.shifting import OriginalShifter
+from repro.perf.counters import InsertionPointWork
+from repro.testing import small_design
 from test_kernels import DESIGN_FACTORIES, REGION_CASES, outcome_key, prepared_region
 
 NATIVE = get_kernel_backend("numpy").native
@@ -52,21 +56,25 @@ def _config(fwd_bwd, backend=None):
 def reference_search(region, target, fwd_bwd):
     """Python enumeration + evaluate_point_list + reduction, on the oracle."""
     config = _config(fwd_bwd, "python")
-    context = config.shifter.context_for(region)
+    config.shifter.prepare(region)
     rows = candidate_bottom_rows(region, target)
-    search = search_points(region, target, rows, config, get_kernel_backend("python"))
-    return search, context.consumed_sort_report
+    return search_points(region, target, rows, config, get_kernel_backend("python"))
 
 
 def native_search(region, target, fwd_bwd):
-    config = _config(fwd_bwd)
-    context = config.shifter.context_for(region)
     rows = candidate_bottom_rows(region, target)
-    search = NATIVE.search_region(region, target, rows, context, config)
-    return search, context.consumed_sort_report
+    return NATIVE.search_region(region, target, rows, _config(fwd_bwd))
 
 
-def search_key(search, consumed):
+def reference_outcome(region, target, insertion):
+    """The reference SACS shift of ``insertion`` once the region's sort
+    report is spent (the search reports it on its first point)."""
+    context = build_sacs_context(region)
+    context.consumed_sort_report = True
+    return shift_cells_sacs(region, target, insertion, context)
+
+
+def search_key(search):
     """Exact observable content; repr() also tells -0.0 from 0.0."""
     winner = None
     if search.winner is not None:
@@ -78,16 +86,20 @@ def search_key(search, consumed):
         "costs": [repr(cost) for cost in search.costs],
         "n_feasible": search.n_feasible,
         "winner": winner,
-        "sort_report_consumed": consumed,
     }
 
 
 def assert_matches_reference(region, target, fwd_bwd):
-    """Compare the native search with the reference field by field;
-    returns the number of feasible points."""
-    reference = search_key(*reference_search(region, target, fwd_bwd))
-    assert search_key(*native_search(region, target, fwd_bwd)) == reference
-    return reference["n_feasible"]
+    """Compare the native search with the reference field by field,
+    the winner's shift outcome in full (dict order included); returns
+    the number of feasible points."""
+    reference = reference_search(region, target, fwd_bwd)
+    native = native_search(region, target, fwd_bwd)
+    assert search_key(native) == search_key(reference)
+    if reference.winner is not None:
+        expected = reference_outcome(region, target, reference.winner[0])
+        assert repr(outcome_key(native.winner[3])) == repr(outcome_key(expected))
+    return reference.n_feasible
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +328,7 @@ def test_native_keeps_the_first_of_two_equally_distant_minima(fwd_bwd):
     target = Cell(index=0, width=2.0, height=2, gp_x=20.0, gp_y=0.0)
     region = _packed_region(cells, target)
     assert assert_matches_reference(region, target, fwd_bwd) > 0
-    reference, _ = reference_search(region, target, fwd_bwd)
+    reference = reference_search(region, target, fwd_bwd)
     assert 18.0 in reference.sites
 
 
@@ -348,7 +360,7 @@ def test_native_keeps_a_row_filled_exactly_to_the_capacity_margin():
     assert (cell_width + width) + 0.0 == length + 1e-9
     target = Cell(index=0, width=width, height=1, gp_x=3.0, gp_y=0.0)
     region = _packed_region([(0.0, cell_width, 1, 0, 0.0)], target, n_rows=1, seg=(0.0, length))
-    reference, _ = reference_search(region, target, False)
+    reference = reference_search(region, target, False)
     assert len(reference.works) == 2
     assert_matches_reference(region, target, False)
 
@@ -365,7 +377,7 @@ def test_native_enumerates_zero_length_segments():
         row_segs={0: (6.0, 6.0), 1: (6.0, 5.5)},
     )
     assert candidate_bottom_rows(region, target) == [0, 1, 2]
-    reference, _ = reference_search(region, target, False)
+    reference = reference_search(region, target, False)
     assert len(reference.works) == 4 and reference.n_feasible == 3
     assert_matches_reference(region, target, False)
 
@@ -379,9 +391,8 @@ def test_native_search_over_no_candidate_rows():
         [(0.0, 2.0, 1, 0, 0.0)], target, n_rows=3, seg=(0.0, 5.0), row_segs={1: None}
     )
     assert candidate_bottom_rows(region, target) == []
-    assert search_key(*native_search(region, target, False)) == {
+    assert search_key(native_search(region, target, False)) == {
         "works": [], "sites": [], "costs": [], "n_feasible": 0, "winner": None,
-        "sort_report_consumed": False,
     }
     assert_matches_reference(region, target, False)
 
@@ -397,7 +408,7 @@ def test_native_breaks_an_exact_cost_tie_by_distance(fwd_bwd):
         [(8.0, 4.0, 1, 2, 8.0)], target, n_rows=3, seg=(0.0, 20.0),
         row_segs={0: (0.0, 10.0), 1: (0.0, 1.0)},
     )
-    reference, _ = reference_search(region, target, fwd_bwd)
+    reference = reference_search(region, target, fwd_bwd)
     assert (reference.sites[0], reference.costs[0]) == (8.0, 12.0)
     insertion, best_x, cost, _ = reference.winner
     assert (insertion.bottom_row, best_x, cost) == (2, 10.0, 12.0)
@@ -407,7 +418,10 @@ def test_native_breaks_an_exact_cost_tie_by_distance(fwd_bwd):
 @needs_native
 @pytest.mark.parametrize("case", sorted(REGION_CASES))
 def test_fop_winner_outcome_matches_reference(case):
-    """FOP re-derives the winner's shift outcome after a fused scoring."""
+    """FOP commits the outcome the kernel returns with its winner.
+
+    The region searches above compare the outcome on the synthetic,
+    tall-blocked, randomized and hand-built regions too."""
     region, target = prepared_region(**REGION_CASES[case])
     results = {
         name: find_optimal_position(
@@ -417,8 +431,66 @@ def test_fop_winner_outcome_matches_reference(case):
     }
     ref, got = results["python"], results["numpy"]
     assert (got.x, got.cost, got.insertion) == (ref.x, ref.cost, ref.insertion)
-    # All but the once-per-region sort report, which the first point owns.
-    assert outcome_key(got.outcome)[:-1] == outcome_key(ref.outcome)[:-1]
+    expected = reference_outcome(region, target, ref.insertion)
+    assert repr(outcome_key(got.outcome)) == repr(outcome_key(expected))
+    # The scored reference outcome differs at most in the sort report,
+    # which the search's first point owns.
+    assert outcome_key(ref.outcome)[:-1] == outcome_key(expected)[:-1]
+
+
+# ----------------------------------------------------------------------
+# One hand-built region per branch of the native winner outcome
+# ----------------------------------------------------------------------
+def native_winner_outcome(region, target, fwd_bwd=False):
+    """The native winner's outcome, checked against the reference."""
+    assert assert_matches_reference(region, target, fwd_bwd) > 0
+    return native_search(region, target, fwd_bwd).winner[3]
+
+
+@needs_native
+def test_native_outcome_with_an_empty_left_chain():
+    """The target's global x is left of every cell: the winner puts every
+    cell on its right, so no cell gets a left threshold."""
+    cells = [(4.0, 3.0, 1, 0, 4.0), (7.0, 2.0, 1, 0, 7.0), (12.0, 4.0, 1, 1, 12.0)]
+    target = Cell(index=0, width=2.0, height=1, gp_x=1.0, gp_y=0.0)
+    outcome = native_winner_outcome(_packed_region(cells, target), target)
+    assert outcome.left_thresholds == {} and list(outcome.right_thresholds) == [0, 1]
+
+
+@needs_native
+def test_native_outcome_with_an_empty_right_chain():
+    """The target's global x is right of every cell: no right thresholds."""
+    cells = [(4.0, 3.0, 1, 0, 4.0), (7.0, 2.0, 1, 0, 7.0), (12.0, 4.0, 1, 1, 12.0)]
+    target = Cell(index=0, width=2.0, height=1, gp_x=30.0, gp_y=0.0)
+    outcome = native_winner_outcome(_packed_region(cells, target), target)
+    assert outcome.right_thresholds == {} and list(outcome.left_thresholds) == [1, 0]
+
+
+@needs_native
+@pytest.mark.parametrize("fwd_bwd", [False, True])
+def test_native_outcome_propagates_through_a_multi_row_cell(fwd_bwd):
+    """The winner pushes A (row 0) into the two-row cell M, which carries
+    the threshold into row 1, where only B, outside the target's rows,
+    receives it: thresholds flow across rows through M."""
+    cells = [(10.0, 3.0, 2, 0, 10.0), (13.0, 4.0, 1, 0, 13.0), (7.0, 3.0, 1, 1, 7.0)]
+    target = Cell(index=0, width=3.0, height=1, gp_x=17.5, gp_y=0.0)
+    region = _packed_region(cells, target, seg=(0.0, 21.0), row_segs={0: (0.0, 20.0)})
+    outcome = native_winner_outcome(region, target, fwd_bwd)
+    # A seeds the chain, then M, then B through M's row-1 subcell.
+    assert list(outcome.left_thresholds) == [1, 0, 2]
+    assert outcome.right_thresholds == {}
+
+
+@needs_native
+def test_native_outcome_orders_equal_x_cells_by_index():
+    """P and Q share an x in rows 0 and 1.  The left sweep visits them in
+    descending (x, index) order, so Q passes its threshold to its left
+    neighbour before P does: the outcome lists Q' before P'."""
+    cells = [(6.0, 4.0, 1, 0, 6.0), (5.0, 5.0, 1, 1, 5.0),   # P', Q'
+             (10.0, 3.0, 1, 0, 10.0), (10.0, 3.0, 1, 1, 10.0)]  # P, Q
+    target = Cell(index=0, width=2.0, height=2, gp_x=13.0, gp_y=0.0)
+    outcome = native_winner_outcome(_packed_region(cells, target), target)
+    assert list(outcome.left_thresholds) == [2, 3, 1, 0]
 
 
 def test_numpy_backend_fuses_only_sacs():
@@ -480,6 +552,33 @@ def test_multiprocess_hands_sacs_regions_to_the_native_search(monkeypatch):
     monkeypatch.setattr(fop, "enumerate_insertion_points", python_enumeration)
     assert _legalize("multiprocess:2", "dense_design") == reference
     assert searched
+
+
+@needs_native
+def test_numpy_flex_run_builds_no_shift_context_and_no_work_objects(monkeypatch):
+    """A numpy FLEX run (legalization and model) never re-derives a shift
+    outcome in Python, never builds a SACS context and never builds an
+    InsertionPointWork: points stay in columns from the kernel to the
+    models."""
+    calls = {"shift": 0, "context": 0, "work": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(SortAheadShifter, "shift", counted("shift", SortAheadShifter.shift))
+    monkeypatch.setattr(sacs, "build_sacs_context", counted("context", sacs.build_sacs_context))
+    monkeypatch.setattr(
+        InsertionPointWork, "__init__", counted("work", InsertionPointWork.__init__)
+    )
+    run = FlexLegalizer(FlexConfig(kernel_backend="numpy")).legalize(
+        small_design(num_cells=120, density=0.82, seed=9)
+    )
+    assert run.trace.total_insertion_points > 0 and run.fpga.total_cycles > 0
+    assert calls == {"shift": 0, "context": 0, "work": 0}
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.perf import (
     InsertionPointWork,
     LegalizationTrace,
     MultiThreadModel,
+    PointColumns,
     SpeedupReport,
     TargetCellWork,
     TimelineEntry,
@@ -47,7 +48,7 @@ def make_trace(n_targets: int = 10, ips_per_target: int = 5, **ip_kwargs) -> Leg
         work.n_local_cells = defaults["n_local_cells"]
         work.region_transfer_words = 120
         work.update_moved_cells = 2
-        work.extend_insertion_points(
+        work.points = PointColumns.of(
             InsertionPointWork(**defaults) for _ in range(ips_per_target)
         )
         trace.add_target(work)

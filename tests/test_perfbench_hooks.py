@@ -61,22 +61,32 @@ def test_every_workload_backend_resolves(perfbench):
 def test_traced_layers_agree_across_the_backend_chain(perfbench):
     """``multiprocess`` inherits ``numpy``'s kernels, so the tracer's
     class patches reach it: a traced legalization records the same
-    layers on both backends, the SACS kernels included."""
+    layers on both backends.  The original shifter runs the staged
+    curve kernels; SACS regions run in the native search, which returns
+    the winner's shift outcome, so no SACS kernel runs in Python."""
     from repro.core import FlexConfig, FlexLegalizer
+    from repro.core.pipeline import PipelineOrganization
     from repro.testing import small_design
 
     tracer_module, _ = perfbench
     layers = {}
-    for spec in ("numpy", "multiprocess:2"):
-        tracer = tracer_module.Tracer().install()
-        try:
-            FlexLegalizer(FlexConfig(kernel_backend=spec)).legalize(
-                small_design(num_cells=80, density=0.7, seed=4)
-            )
-        finally:
-            tracer.uninstall()
-            resolve_backend("multiprocess:2").close()
-        summary = tracer.summarize()["layers"]
-        layers[spec] = {name for name, agg in summary.items() if agg.get("calls", 0) > 0}
-    assert "kernels.sacs" in layers["numpy"]
-    assert layers["multiprocess:2"] == layers["numpy"]
+    for shifter, options in (
+        ("sacs", {}),
+        ("original", {"use_sacs": False, "pipeline": PipelineOrganization.NORMAL}),
+    ):
+        for spec in ("numpy", "multiprocess:2"):
+            tracer = tracer_module.Tracer().install()
+            try:
+                FlexLegalizer(FlexConfig(kernel_backend=spec, **options)).legalize(
+                    small_design(num_cells=80, density=0.7, seed=4)
+                )
+            finally:
+                tracer.uninstall()
+                resolve_backend("multiprocess:2").close()
+            summary = tracer.summarize()["layers"]
+            layers[shifter, spec] = {
+                name for name, agg in summary.items() if agg.get("calls", 0) > 0
+            }
+        assert layers[shifter, "multiprocess:2"] == layers[shifter, "numpy"]
+    assert "kernels.sacs" not in layers["sacs", "numpy"]
+    assert "kernels.curves.minimize" in layers["original", "numpy"]
