@@ -30,7 +30,7 @@ from repro.mgl.curves import minimize_curves, minimize_curves_fwd_bwd
 from repro.mgl.fop import FOPConfig, build_curves, find_optimal_position
 from repro.mgl.insertion import enumerate_all_insertion_points
 from repro.mgl.legalizer import size_descending_order
-from repro.mgl.local_region import build_local_region
+from repro.mgl.local_region import RegionBuilder
 from repro.mgl.premove import premove
 from repro.mgl.shifting import build_row_view, shift_cells_original
 from repro.testing.bench import BENCH_SCALE, BENCH_SEED, run_once
@@ -58,7 +58,7 @@ def _obstacle_region(num_cells=260, density=0.65, seed=13, target_height=2):
     window = Window(
         layout.width * 0.25, layout.width * 0.75, 0, layout.num_rows
     )
-    region, _ = build_local_region(layout, target, window)
+    region = RegionBuilder(layout, target).build(window)
     points = list(enumerate_all_insertion_points(region, target))
     return layout, target, region, points
 

@@ -26,7 +26,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
 from repro.legality.metrics import DisplacementStats, PlacementMetrics
 from repro.mgl.premove import premove
-from repro.baselines.greedy import GreedyLegalizer
+from repro.baselines.greedy import greedy_position
 
 
 @dataclass
@@ -92,11 +92,10 @@ class AbacusLegalizer:
         failed: List[int] = []
         multi = [c for c in layout.unlegalized_cells() if c.height > 1]
         if multi:
-            greedy = GreedyLegalizer(metrics=self.metrics)
             # Place multi-row cells directly in the main layout via the
             # greedy position search (reusing its free-slot logic).
             for cell in sorted(multi, key=lambda c: (-c.area, c.index)):
-                position = greedy._best_position(layout, cell)
+                position = greedy_position(layout, cell)
                 if position is None:
                     failed.append(cell.index)
                 else:
@@ -112,11 +111,10 @@ class AbacusLegalizer:
         # direct nearest-free-slot search (the same repair a production
         # Abacus flow would apply before declaring failure).
         if unplaced:
-            greedy = GreedyLegalizer(metrics=self.metrics)
             by_index = {c.index: c for c in layout.cells}
             for index in unplaced:
                 cell = by_index[index]
-                position = greedy._best_position(layout, cell)
+                position = greedy_position(layout, cell)
                 if position is None:
                     failed.append(index)
                 else:

@@ -39,7 +39,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
 from repro.legality.metrics import DisplacementStats, PlacementMetrics
 from repro.mgl.premove import premove
-from repro.baselines.greedy import GreedyLegalizer
+from repro.baselines.greedy import greedy_position
 
 
 @dataclass
@@ -196,9 +196,8 @@ class AnalyticalLegalizer:
             for r in rows:
                 cursor[r] = x + cell.width
         # Deferred cells fall back to the greedy nearest-free-slot search.
-        greedy = GreedyLegalizer(metrics=self.metrics)
         for cell in deferred:
-            position = greedy._best_position(layout, cell)
+            position = greedy_position(layout, cell)
             if position is None:
                 failed.append(cell.index)
             else:

@@ -16,12 +16,21 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.geometry.cell import Cell
-from repro.geometry.interval import Interval, gaps_between, intersect_interval_lists
 from repro.geometry.layout import Layout
-from repro.geometry.row import legal_bottom_rows
 from repro.legality.metrics import DisplacementStats, PlacementMetrics
+from repro.mgl.legalizer import nearest_free_slot
 from repro.mgl.premove import premove
 from repro.perf.counters import LegalizationTrace, TargetCellWork
+
+#: Cost of one row of vertical displacement, in sites.
+VERTICAL_COST_FACTOR = 10.0
+#: Bottom rows tried, nearest first, before the best slot found is taken.
+ROW_SEARCH_LIMIT = 24
+
+
+def greedy_position(layout: Layout, cell: Cell) -> Optional[Tuple[float, int]]:
+    """The greedy baseline's slot for ``cell``: the nearest free one."""
+    return nearest_free_slot(layout, cell, VERTICAL_COST_FACTOR, ROW_SEARCH_LIMIT)
 
 
 @dataclass
@@ -46,16 +55,8 @@ class GreedyResult:
 class GreedyLegalizer:
     """Greedy (tetris-style) mixed-cell-height legalizer."""
 
-    def __init__(
-        self,
-        *,
-        vertical_cost_factor: float = 10.0,
-        row_search_limit: int = 24,
-        metrics: Optional[PlacementMetrics] = None,
-    ) -> None:
-        self.vertical_cost_factor = vertical_cost_factor
-        self.row_search_limit = row_search_limit
-        self.metrics = metrics or PlacementMetrics(site_width_units=1.0 / vertical_cost_factor)
+    def __init__(self, *, metrics: Optional[PlacementMetrics] = None) -> None:
+        self.metrics = metrics or PlacementMetrics(site_width_units=1.0 / VERTICAL_COST_FACTOR)
 
     # ------------------------------------------------------------------
     def legalize(self, layout: Layout) -> GreedyResult:
@@ -75,7 +76,7 @@ class GreedyLegalizer:
         failed: List[int] = []
         for cell in cells:
             work = TargetCellWork(cell_index=cell.index, height=cell.height, width=cell.width)
-            position = self._best_position(layout, cell)
+            position = greedy_position(layout, cell)
             if position is None:
                 failed.append(cell.index)
             else:
@@ -89,39 +90,3 @@ class GreedyLegalizer:
             wall_seconds=time.perf_counter() - start,
             trace=trace,
         )
-
-    # ------------------------------------------------------------------
-    def _best_position(self, layout: Layout, cell: Cell) -> Optional[Tuple[float, int]]:
-        """Nearest completely-free slot for a cell (row-by-row scan)."""
-        best: Optional[Tuple[float, int, float]] = None
-        rows = sorted(
-            legal_bottom_rows(cell.height, layout.num_rows),
-            key=lambda r: abs(r - cell.gp_y),
-        )
-        for count, bottom in enumerate(rows):
-            vertical_cost = abs(bottom - cell.gp_y) * self.vertical_cost_factor
-            if best is not None and vertical_cost >= best[2]:
-                break
-            if count >= self.row_search_limit and best is not None:
-                break
-            free: List[Interval] = [Interval(0.0, layout.width)]
-            for row in range(bottom, bottom + cell.height):
-                occupied = [(c.x, c.right) for c in layout.obstacles_in_row(row)]
-                row_free = gaps_between(occupied, layout.row_span_interval(row))
-                free = intersect_interval_lists(free, row_free)
-                if not free:
-                    break
-            for interval in free:
-                if interval.length + 1e-9 < cell.width:
-                    continue
-                lo = math.ceil(interval.lo - 1e-9)
-                hi = math.floor(interval.hi - cell.width + 1e-9)
-                if lo > hi:
-                    continue
-                x = float(min(max(round(cell.gp_x), lo), hi))
-                cost = abs(x - cell.gp_x) + vertical_cost
-                if best is None or cost < best[2]:
-                    best = (x, bottom, cost)
-        if best is None:
-            return None
-        return best[0], best[1]

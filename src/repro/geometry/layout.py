@@ -349,10 +349,18 @@ class Layout:
         return [self.cells[idx] for _, idx in self._row_index[row]]
 
     def obstacles_in_row_window(self, row: int, x_lo: float, x_hi: float) -> List[Cell]:
-        """Obstacle cells covering ``row`` that intersect ``[x_lo, x_hi)``."""
+        """Obstacle cells covering ``row`` that intersect ``[x_lo, x_hi)``.
+
+        Cells come in index order (by x, then cell index).  The walk
+        starts at :meth:`_reach_bound`, so its length depends on the
+        window, not on where the window sits along the row.
+        """
+        entries = self._row_index[row]
+        cells = self.cells
         result: List[Cell] = []
-        for x, idx in self._row_index[row]:
-            cell = self.cells[idx]
+        start = bisect.bisect_left(entries, (self._reach_bound(row, x_lo),))
+        for k in range(start, len(entries)):
+            cell = cells[entries[k][1]]
             if cell.x >= x_hi:
                 break
             if cell.right > x_lo:
@@ -377,6 +385,17 @@ class Layout:
             summary = self._row_prefix[row] = (prefix, max_width)
         return summary
 
+    def _reach_bound(self, row: int, x_lo: float) -> float:
+        """Smallest x at which a cell of ``row`` can still end right of ``x_lo``.
+
+        A cell's width bounds its reach, so no entry with ``x`` below
+        ``x_lo - max_width`` does, even with overlapping obstacles, whose
+        right edges are not sorted.  Callers keep entries exactly at the
+        bound, so a subtraction that rounds up cannot drop a cell whose
+        rounded right edge passes ``x_lo``.
+        """
+        return x_lo - self._row_summary(row)[1]
+
     def row_occupied_width(self, row: int, x_lo: float, x_hi: float) -> float:
         """Total obstacle width covering ``[x_lo, x_hi)`` of ``row``.
 
@@ -393,7 +412,7 @@ class Layout:
         entries = self._row_index[row]
         if not entries:
             return 0.0
-        prefix, max_width = self._row_summary(row)
+        prefix, _ = self._row_summary(row)
         # Entries starting inside [x_lo, x_hi) form the run [i, j); sum
         # their widths via the prefix array, clipping only the last one
         # at x_hi (in a legal row no earlier run member can reach past
@@ -404,13 +423,11 @@ class Layout:
         if i < j:
             occupied = prefix[j] - prefix[i]
             occupied -= max(0.0, self.cells[entries[j - 1][1]].right - x_hi)
-        # Boundary crossers start before x_lo; any of them satisfies
-        # ``x > x_lo - max_width`` (their width bounds their reach), so
-        # walking that bounded strip finds every one even when obstacles
-        # overlap and rights are not monotone.  Each contributes its
-        # exact clipped overlap.
+        # Boundary crossers start before x_lo, at or after the reach
+        # bound; each contributes its exact clipped overlap.
+        bound = self._reach_bound(row, x_lo)
         k = i
-        while k > 0 and entries[k - 1][0] > x_lo - max_width:
+        while k > 0 and entries[k - 1][0] >= bound:
             k -= 1
             cell = self.cells[entries[k][1]]
             lo = max(cell.x, x_lo)

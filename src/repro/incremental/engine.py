@@ -211,8 +211,10 @@ def validate_deltas(layout: Layout, deltas: Sequence[Delta]) -> None:
     A batch that passes validation applies atomically; one that fails
     leaves the layout (and the engine's persistent state) untouched.
     """
-    n = len(layout.cells)
-    retired = {c.index for c in layout.cells if layout.is_retired(c)}
+    cells = layout.cells
+    n = len(cells)
+    # Cells this batch retires; earlier tombstones are read off the layout.
+    retired: Set[int] = set()
     fixed: Dict[int, bool] = {}
     widths: Dict[int, float] = {}
     heights: Dict[int, int] = {}
@@ -220,7 +222,7 @@ def validate_deltas(layout: Layout, deltas: Sequence[Delta]) -> None:
     def live(index: int, op: str) -> None:
         if not 0 <= index < n:
             raise ValueError(f"{op} delta targets unknown cell index {index}")
-        if index in retired:
+        if index in retired or (index < len(cells) and layout.is_retired(cells[index])):
             raise ValueError(f"{op} delta targets deleted cell index {index}")
 
     def is_fixed(index: int) -> bool:
@@ -305,6 +307,11 @@ def apply_deltas(layout: Layout, deltas: Sequence[Delta]) -> AppliedDeltas:
     bit.
     """
     validate_deltas(layout, deltas)
+    return _apply_validated(layout, deltas)
+
+
+def _apply_validated(layout: Layout, deltas: Sequence[Delta]) -> AppliedDeltas:
+    """The mutation half of :func:`apply_deltas`, for a validated batch."""
     tracker = _DirtyTracker(layout)
     for delta in deltas:
         if isinstance(delta, MoveCell):
@@ -694,7 +701,7 @@ class IncrementalLegalizer:
         # is untouched and the engine stays usable.
         validate_deltas(layout, deltas)
         try:
-            applied = apply_deltas(layout, deltas)
+            applied = _apply_validated(layout, deltas)
         except Exception:
             # Validation passed yet application failed: internal error.
             # The layout may be half-mutated, so force a fresh begin()

@@ -31,7 +31,7 @@ from repro.mgl.curves import (
 )
 from repro.mgl.insertion import InsertionPoint, enumerate_insertion_points
 from repro.mgl.shifting import ShiftOutcome, shift_cells_original
-from repro.mgl.local_region import RegionBuilder, build_local_region, initial_window
+from repro.mgl.local_region import RegionBuilder, initial_window
 from repro.mgl.window_planner import plan_initial_window, window_is_promising
 from repro.mgl.premove import premove
 from repro.mgl.fop import FOPConfig, FOPResult, find_optimal_position
@@ -49,7 +49,6 @@ __all__ = [
     "ShiftOutcome",
     "shift_cells_original",
     "RegionBuilder",
-    "build_local_region",
     "initial_window",
     "plan_initial_window",
     "window_is_promising",

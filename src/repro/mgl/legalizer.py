@@ -293,13 +293,12 @@ class MGLLegalizer:
         work = TargetCellWork(cell_index=target.index, height=target.height, width=target.width)
         window, growths = plan_initial_window(layout, target)
         work.planner_growths = growths
-        # One builder per target: retries grow the window monotonically,
-        # so each retry rescans only the newly exposed strips and reuses
-        # the per-row obstacle lists already gathered for the region.
+        # Each retry builds the grown window's region afresh; the bounded
+        # row queries make that cost depend on the window, not the row.
         builder = RegionBuilder(layout, target)
         reason = None
         for retry in range(MAX_RETRIES + 1):
-            region, scanned = builder.build(window)
+            region = builder.build(window)
             work.window_retries = retry
             work.n_local_cells = len(region.local_cells)
             work.n_subcells = region.total_subcells()
@@ -326,7 +325,7 @@ class MGLLegalizer:
         # Fallback: direct nearest-free-space search over the whole chip.
         work.fallback_used = True
         work.fail_reason = reason
-        position = self._fallback_position(layout, target)
+        position = nearest_free_slot(layout, target, self.fop_config.vertical_cost_factor)
         if position is None:
             work.fail_reason = "no_free_slot"
             return False, work
@@ -334,37 +333,53 @@ class MGLLegalizer:
         layout.mark_legalized(target, x, float(bottom))
         return True, work
 
-    # ------------------------------------------------------------------
-    def _fallback_position(self, layout: Layout, target: Cell) -> Optional[Tuple[float, int]]:
-        """Find the nearest completely free slot able to host the target."""
-        vertical_factor = self.fop_config.vertical_cost_factor
-        best: Optional[Tuple[float, int, float]] = None
-        rows = sorted(
-            legal_bottom_rows(target.height, layout.num_rows),
-            key=lambda r: abs(r - target.gp_y),
-        )
-        for bottom in rows:
-            vertical_cost = abs(bottom - target.gp_y) * vertical_factor
-            if best is not None and vertical_cost >= best[2]:
+
+def nearest_free_slot(
+    layout: Layout,
+    cell: Cell,
+    vertical_cost_factor: float,
+    row_limit: Optional[int] = None,
+) -> Optional[Tuple[float, int]]:
+    """Nearest completely free slot able to host ``cell``, or ``None``.
+
+    Legal bottom rows are tried nearest ``gp_y`` first.  In each, the
+    free gaps of every row the cell would cover are intersected, and the
+    site nearest ``gp_x`` is taken in each wide enough gap.  The cost is
+    the horizontal distance plus ``vertical_cost_factor`` per row of
+    vertical distance.  The search stops once no farther row can be
+    cheaper, or, with ``row_limit``, once that many rows were tried and
+    a slot was found.  Neighbours are never moved: this is MGL's last
+    resort and the whole of the greedy baseline.
+    """
+    best: Optional[Tuple[float, int, float]] = None
+    rows = sorted(
+        legal_bottom_rows(cell.height, layout.num_rows),
+        key=lambda r: abs(r - cell.gp_y),
+    )
+    for count, bottom in enumerate(rows):
+        vertical_cost = abs(bottom - cell.gp_y) * vertical_cost_factor
+        if best is not None and vertical_cost >= best[2]:
+            break
+        if row_limit is not None and count >= row_limit and best is not None:
+            break
+        free: List[Interval] = [Interval(0.0, layout.width)]
+        for row in range(bottom, bottom + cell.height):
+            occupied = [(c.x, c.right) for c in layout.obstacles_in_row(row)]
+            row_free = gaps_between(occupied, layout.row_span_interval(row))
+            free = intersect_interval_lists(free, row_free)
+            if not free:
                 break
-            free: List[Interval] = [Interval(0.0, layout.width)]
-            for row in range(bottom, bottom + target.height):
-                occupied = [(c.x, c.right) for c in layout.obstacles_in_row(row)]
-                row_free = gaps_between(occupied, layout.row_span_interval(row))
-                free = intersect_interval_lists(free, row_free)
-                if not free:
-                    break
-            for interval in free:
-                if interval.length + 1e-9 < target.width:
-                    continue
-                lo = math.ceil(interval.lo - 1e-9)
-                hi = math.floor(interval.hi - target.width + 1e-9)
-                if lo > hi:
-                    continue
-                x = float(min(max(round(target.gp_x), lo), hi))
-                cost = abs(x - target.gp_x) + vertical_cost
-                if best is None or cost < best[2]:
-                    best = (x, bottom, cost)
-        if best is None:
-            return None
-        return best[0], best[1]
+        for interval in free:
+            if interval.length + 1e-9 < cell.width:
+                continue
+            lo = math.ceil(interval.lo - 1e-9)
+            hi = math.floor(interval.hi - cell.width + 1e-9)
+            if lo > hi:
+                continue
+            x = float(min(max(round(cell.gp_x), lo), hi))
+            cost = abs(x - cell.gp_x) + vertical_cost
+            if best is None or cost < best[2]:
+                best = (x, bottom, cost)
+    if best is None:
+        return None
+    return best[0], best[1]

@@ -428,7 +428,7 @@ class LegalizationTrace:
     premove_cells: int = 0
     # Step (b): process ordering — comparisons performed by the ordering.
     ordering_ops: int = 0
-    # Step (c): define localRegion — obstacle cells scanned per region build.
+    # Step (c): define localRegion — region transfer words, a proxy for its work.
     region_build_ops: int = 0
     # Step (e): insert & update — cells whose committed position changed.
     update_ops: int = 0

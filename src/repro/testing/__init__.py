@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.benchgen import DesignSpec, generate_design
 from repro.geometry import Cell, Layout, Window
-from repro.mgl.local_region import build_local_region
+from repro.mgl.local_region import RegionBuilder
 
 __all__ = ["make_layout", "add_target", "region_for", "small_design"]
 
@@ -55,8 +55,7 @@ def add_target(layout: Layout, x: float, y: float, w: float, h: int) -> Cell:
 def region_for(layout: Layout, target: Cell, window: Optional[Window] = None):
     """Build the localRegion of a target over the whole chip by default."""
     window = window or Window(0.0, layout.width, 0, layout.num_rows)
-    region, _ = build_local_region(layout, target, window)
-    return region
+    return RegionBuilder(layout, target).build(window)
 
 
 def small_design(num_cells: int = 80, density: float = 0.55, seed: int = 1,

@@ -11,7 +11,7 @@ from repro.geometry import Cell, Layout, Window
 from repro.legality import LegalityChecker
 from repro.mgl.fop import FOPConfig, build_curves, evaluate_point_list, find_optimal_position
 from repro.mgl.insertion import enumerate_insertion_points
-from repro.mgl.local_region import build_local_region, initial_window, region_transfer_words
+from repro.mgl.local_region import RegionBuilder, initial_window, region_transfer_words
 from repro.mgl.premove import premove, premove_cell
 from repro.mgl.shifting import OriginalShifter
 from repro.mgl.update import commit_placement
@@ -89,7 +89,7 @@ class TestLocalRegion:
     def test_partially_covered_cells_clip_segments(self, simple_layout):
         target = add_target(simple_layout, 15.0, 0.0, 3.0, 1)
         window = Window(6.0, 30.0, 0, 3)
-        region, _ = build_local_region(simple_layout, target, window)
+        region = RegionBuilder(simple_layout, target).build(window)
         # The 2-row cell at x=10 is inside; the cell at x=2 (row 0) is outside
         # the window and must not appear as a localCell.
         xs = {lc.x for lc in region.local_cells}

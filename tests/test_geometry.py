@@ -314,6 +314,12 @@ class TestLayout:
     def test_obstacles_in_row_window(self, simple_layout):
         cells = simple_layout.obstacles_in_row_window(0, 0.0, 12.0)
         assert [c.x for c in cells] == [2.0, 10.0]
+        # A wide cell starting far left of the window still reaches it.
+        layout = make_layout(1, 60, [(0.0, 0.0, 25.0, 1), (30.0, 0.0, 2.0, 1)])
+        got = layout.obstacles_in_row_window(0, 20.0, 40.0)
+        assert [c.index for c in got] == [0, 1]
+        assert layout.obstacles_in_row_window(0, 25.0, 30.0) == []
+        assert [c.index for c in layout.obstacles_in_row_window(0, 5.0, 5.0)] == [0]
 
     def test_mark_legalized_adds_to_index(self):
         layout = make_layout(4, 20, [])
@@ -523,3 +529,93 @@ class TestSummaryInvalidation:
         frag = layout.free_space_fragmentation(min_gap=5.0)
         assert frag == pytest.approx(8.0 / 16.0)  # the two 4-wide gaps trapped
         assert layout.free_space_fragmentation(min_gap=100.0) == 1.0
+
+
+# ----------------------------------------------------------------------
+# Bounded row query against its linear definition
+# ----------------------------------------------------------------------
+class TestBoundedRowQuery:
+    """:meth:`Layout.obstacles_in_row_window` reads only a bounded strip
+    of the row index.  It must return exactly the cells the linear
+    definition does, in index order, on any layout the mutators can
+    produce, including malformed ones with overlapping obstacles."""
+
+    ROWS, SITES = 4, 30
+
+    coord = st.one_of(
+        st.integers(0, 30).map(float),
+        st.floats(0.0, 30.0, allow_nan=False),
+        st.integers(0, 120).map(lambda q: q / 4.0),
+    )
+    width = st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0]),
+        st.floats(0.1, 8.0, allow_nan=False),
+        st.floats(20.0, 30.0, allow_nan=False),  # macros wider than windows
+    )
+
+    @staticmethod
+    def linear(layout, row, x_lo, x_hi):
+        return [
+            cell
+            for cell in layout.obstacles_in_row(row)
+            if cell.x < x_hi and cell.right > x_lo
+        ]
+
+    def assert_keys_track_positions(self, layout):
+        for row in range(layout.num_rows):
+            for key, idx in layout._row_index[row]:
+                assert key == layout.cells[idx].x, f"row {row}, cell {idx}"
+
+    def assert_queries_match(self, layout, data):
+        for _ in range(4):
+            row = data.draw(st.integers(0, self.ROWS - 1))
+            x_lo = data.draw(st.one_of(self.coord, st.floats(-10.0, 0.0)))
+            x_hi = data.draw(st.one_of(
+                st.just(x_lo), self.coord, st.floats(30.0, 45.0)
+            ))
+            got = layout.obstacles_in_row_window(row, x_lo, x_hi)
+            assert got == self.linear(layout, row, x_lo, x_hi), (row, x_lo, x_hi)
+
+    @given(data=st.data(), n_cells=st.integers(0, 10), n_ops=st.integers(0, 10))
+    def test_query_matches_linear_filter_under_mutations(self, data, n_cells, n_ops):
+        layout = Layout(self.ROWS, self.SITES)
+        for i in range(n_cells):
+            fixed = data.draw(st.booleans())
+            w = 0.0 if fixed and data.draw(st.integers(0, 5)) == 0 else data.draw(self.width)
+            x = data.draw(self.coord)
+            y = float(data.draw(st.integers(0, self.ROWS - 1)))
+            h = data.draw(st.integers(1, self.ROWS - int(y)))
+            layout.add_cell(Cell(
+                index=i, width=w, height=h, gp_x=x, gp_y=y, x=x, y=y,
+                fixed=fixed, legalized=not fixed and data.draw(st.booleans()),
+            ))
+        self.assert_keys_track_positions(layout)
+        self.assert_queries_match(layout, data)
+        for _ in range(n_ops if n_cells else 0):
+            cell = layout.cells[data.draw(st.integers(0, n_cells - 1))]
+            op = data.draw(st.sampled_from([
+                "move_obstacle", "resize", "relocate", "retire",
+                "toggle_fixed", "unlegalize", "mark",
+            ]))
+            x = data.draw(self.coord)
+            try:
+                if op == "move_obstacle" and cell.legalized:
+                    layout.move_obstacle(cell, x)
+                elif op == "resize":
+                    layout.resize_cell(cell, width=data.draw(self.width))
+                elif op == "relocate" and cell.fixed:
+                    y = data.draw(st.integers(0, self.ROWS - cell.height))
+                    layout.relocate_fixed(cell, x, float(y))
+                elif op == "retire":
+                    layout.retire_cell(cell)
+                elif op == "toggle_fixed":
+                    layout.set_cell_fixed(cell, not cell.fixed)
+                elif op == "unlegalize" and not cell.fixed:
+                    layout.unlegalize_cell(cell)
+                elif op == "mark" and not cell.fixed:
+                    y = data.draw(st.integers(0, self.ROWS - cell.height))
+                    layout.mark_legalized(cell, x, float(y))
+            except ValueError:
+                pass  # a rejected mutation must leave the index intact
+            self.assert_keys_track_positions(layout)
+            self.assert_queries_match(layout, data)

@@ -220,6 +220,27 @@ class TestApplyDeltas:
         assert result.success
         assert LegalityChecker().check(layout).legal
 
+    def test_engine_validates_each_batch_once(self, monkeypatch):
+        import repro.incremental.engine as engine_module
+
+        calls = []
+        validate = engine_module.validate_deltas
+
+        def spy(layout, deltas):
+            calls.append(len(deltas))
+            validate(layout, deltas)
+
+        monkeypatch.setattr(engine_module, "validate_deltas", spy)
+        layout = legal_design(num_cells=40, seed=21)
+        engine = IncrementalLegalizer(backend="python")
+        engine.begin(layout)
+        engine.apply([MoveCell(0, 5.0, 1.0), MoveCell(1, 9.0, 2.0)])
+        assert calls == [2]
+        with pytest.raises(ValueError):
+            engine.apply([ResizeCell(0, width=-1.0)])
+        assert calls == [2, 1]
+        assert engine.layout is layout  # a rejected batch keeps the engine
+
     def test_invalidate_summary_rows_refreshes_free_capacity(self):
         """Direct row edits can refresh the free-space summary by range."""
         layout = make_layout(cells=[(0, 0, 4, 1)])

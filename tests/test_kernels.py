@@ -33,7 +33,7 @@ from repro.kernels import (
 from repro.mgl import MGLLegalizer
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.insertion import enumerate_all_insertion_points
-from repro.mgl.local_region import build_local_region
+from repro.mgl.local_region import RegionBuilder
 from repro.mgl.premove import premove
 from repro.testing import small_design
 
@@ -85,7 +85,7 @@ def prepared_region(
     )
     layout.add_cell(target)
     window = Window(layout.width * 0.2, layout.width * 0.8, 0, layout.num_rows)
-    region, _ = build_local_region(layout, target, window)
+    region = RegionBuilder(layout, target).build(window)
     return region, target
 
 

@@ -102,7 +102,7 @@ class TestKernelDelegation:
     def test_kernel_methods_match_reference(self):
         from repro.testing import small_design
         from repro.mgl.insertion import enumerate_all_insertion_points
-        from repro.mgl.local_region import build_local_region, initial_window
+        from repro.mgl.local_region import RegionBuilder, initial_window
         from repro.mgl.premove import premove
 
         layout = small_design(num_cells=60, density=0.6, seed=3)
@@ -111,7 +111,7 @@ class TestKernelDelegation:
             cell.legalized = True
         layout.rebuild_index()
         target = next(c for c in layout.movable_cells() if not c.legalized)
-        region, _ = build_local_region(layout, target, initial_window(layout, target))
+        region = RegionBuilder(layout, target).build(initial_window(layout, target))
         backend = MultiprocessKernelBackend(workers=2)
         reference = get_kernel_backend("python")
         ctx = backend.build_sacs_context(region)
@@ -137,7 +137,8 @@ class TestKernelDelegation:
 def _pending_region():
     """A localRegion over a partly legalized design, plus its target."""
     from repro.testing import small_design
-    from repro.mgl.local_region import build_local_region, initial_window
+    from repro.geometry.region import Window
+    from repro.mgl.local_region import RegionBuilder
     from repro.mgl.premove import premove
 
     layout = small_design(num_cells=150, density=0.75, seed=21)
@@ -149,8 +150,17 @@ def _pending_region():
             accepted.append(cell)
     layout.rebuild_index()
     target = next(c for c in layout.movable_cells() if not c.legalized)
-    window = initial_window(layout, target, width_factor=30.0, min_width=120.0)
-    region, _ = build_local_region(layout, target, window)
+    # A wide window: max(120, 30 x width) sites over the target's rows +-3.
+    half_width = max(120.0, 30.0 * target.width) / 2.0
+    centre = target.x + target.width / 2.0
+    bottom = int(round(target.y))
+    window = Window(
+        max(0.0, centre - half_width),
+        min(layout.width, centre + half_width),
+        max(0, bottom - 3),
+        min(layout.num_rows, bottom + target.height + 3),
+    )
+    region = RegionBuilder(layout, target).build(window)
     return region, target
 
 

@@ -4,15 +4,16 @@
 it classifies every obstacle again in every row it touches and
 re-segments every row on every pass of the demotion fixpoint.  The
 production :class:`~repro.mgl.local_region.RegionBuilder` classifies each
-obstacle once and re-segments only the rows a demotion touched; both
-share the incremental row-scan cache (``_scan_row``), so they must
-agree on the region *and* on the scanned-cell count, window by window
-across a retry ladder.
+obstacle once and re-segments only the rows a demotion touched.  The
+reference gathers each row's obstacles with its own linear filter over
+:meth:`Layout.obstacles_in_row`, so agreement also checks the bounded
+row query (:meth:`Layout.obstacles_in_row_window`) the production
+builder reads, window by window across a retry ladder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -26,9 +27,8 @@ from repro.mgl.premove import premove
 class ReferenceRegionBuilder(RegionBuilder):
     """The from-scratch region build, kept as the oracle."""
 
-    def build(self, window: Window) -> Tuple[LocalRegion, int]:
+    def build(self, window: Window) -> LocalRegion:
         layout, target = self.layout, self.target
-        scanned = 0
         window_x = Interval(window.x_lo, window.x_hi)
 
         row_obstacles: Dict[int, List] = {}
@@ -38,14 +38,15 @@ class ReferenceRegionBuilder(RegionBuilder):
             row_interval = layout.row_span_interval(row).intersect(window_x)
             if row_interval.empty:
                 continue
-            cells_here, row_scanned = self._scan_row(row, window.x_lo, window.x_hi)
-            scanned += row_scanned
+            cells_here = [
+                cell
+                for cell in layout.obstacles_in_row(row)
+                if cell.right > window.x_lo and cell.x < window.x_hi
+            ]
             row_obstacles[row] = cells_here
             forced_holes[row] = []
             for cell in cells_here:
                 if cell.index == target.index:
-                    continue
-                if cell.right <= window.x_lo or cell.x >= window.x_hi:
                     continue
                 fully_inside = (
                     not cell.fixed
@@ -97,7 +98,7 @@ class ReferenceRegionBuilder(RegionBuilder):
             if index not in demoted:
                 region.add_local_cell(cell)
         region.finalize()
-        return region, scanned
+        return region
 
 
 design_strategy = st.fixed_dictionaries(
@@ -141,12 +142,11 @@ def build_design(params):
     return layout
 
 
-def region_key(region: LocalRegion, scanned: int):
+def region_key(region: LocalRegion):
     return (
         list(region.segments.items()),
         [(lc.cell.index, lc.x, lc.rows) for lc in region.local_cells],
         region.row_cells,
-        scanned,
     )
 
 
@@ -162,7 +162,7 @@ def test_region_builder_matches_reference(params, data):
     builder = RegionBuilder(layout, target)
     reference = ReferenceRegionBuilder(layout, target)
     for _ in range(4):  # the initial window plus three expansions
-        assert region_key(*builder.build(window)) == region_key(*reference.build(window))
+        assert region_key(builder.build(window)) == region_key(reference.build(window))
         window = window.expanded(
             dx=window.width * 0.4 + target.width,
             drows=2,

@@ -21,7 +21,7 @@ from repro.mgl.insertion import (
     enumerate_all_insertion_points,
     enumerate_insertion_points,
 )
-from repro.mgl.local_region import build_local_region
+from repro.mgl.local_region import RegionBuilder
 from repro.mgl.premove import premove
 from repro.mgl.shifting import (
     OriginalShifter,
@@ -289,7 +289,7 @@ class TestSacsEquivalence:
         )
         layout.add_cell(target)
         window = Window(0.0, layout.width, 0, layout.num_rows)
-        region, _ = build_local_region(layout, target, window)
+        region = RegionBuilder(layout, target).build(window)
         checked = 0
         for point in enumerate_all_insertion_points(region, target):
             a = shift_cells_original(region, target, point)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.benchgen import DesignSpec, generate_design
 from repro.geometry import Cell, Layout
-from repro.mgl import MGLLegalizer, RegionBuilder, build_local_region, initial_window
+from repro.mgl import MGLLegalizer, RegionBuilder, initial_window
 from repro.mgl.fop import FOPConfig
 from repro.mgl.premove import premove
 from repro.mgl.window_planner import (
@@ -126,8 +126,9 @@ def test_occupancy_never_underestimates_with_overlapping_obstacles():
 
 
 def test_region_builder_keeps_zero_width_markers_on_window_edges():
-    """Zero-width fixed markers exactly on a cached scan edge survive
-    the incremental delta-strip merge (left and right)."""
+    """Zero-width fixed markers exactly on an earlier window's edges
+    (left and right) reach the grown window's region: a builder reused
+    across a retry ladder matches a fresh one."""
     from repro.geometry.region import Window
 
     layout = make_layout(2, 60, [(20.0, 0.0, 2.0, 1)])
@@ -143,8 +144,8 @@ def test_region_builder_keeps_zero_width_markers_on_window_edges():
     builder = RegionBuilder(layout, target)
     builder.build(Window(10.0, 40.0, 0, 2))  # edges exactly on the markers
     grown = Window(5.0, 50.0, 0, 2)
-    incremental, _ = builder.build(grown)
-    fresh, _ = build_local_region(layout, target, grown)
+    incremental = builder.build(grown)
+    fresh = RegionBuilder(layout, target).build(grown)
     assert incremental.segments == fresh.segments
     assert [lc.cell.index for lc in incremental.local_cells] == [
         lc.cell.index for lc in fresh.local_cells
@@ -224,7 +225,7 @@ def test_grow_window_shifts_off_chip_boundary():
 
 
 # ----------------------------------------------------------------------
-# Incremental region builder
+# Region builder reuse across a retry ladder
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(design_strategy, st.data())
@@ -237,8 +238,8 @@ def test_incremental_region_build_equals_fresh(params, data):
     window = initial_window(layout, target)
     builder = RegionBuilder(layout, target)
     for _ in range(3):
-        incremental, _ = builder.build(window)
-        fresh, _ = build_local_region(layout, target, window)
+        incremental = builder.build(window)
+        fresh = RegionBuilder(layout, target).build(window)
         assert incremental.window == fresh.window
         assert incremental.segments == fresh.segments
         assert [
