@@ -20,31 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
+from repro.geometry.region import Window
 from repro.legality.metrics import PlacementMetrics
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import LegalizationResult, MGLLegalizer
+from repro.mgl.local_region import initial_window
 from repro.perf.cost_model import CpuCostModel, CpuCostParameters
 from repro.perf.gpu_model import CpuGpuBreakdown, CpuGpuModel, GpuModelParameters
-
-
-def _window_rect(layout: Layout, cell: Cell, *, width_factor: float, min_width: float,
-                 extra_rows: int) -> Tuple[float, float, float, float]:
-    half = max(min_width, width_factor * cell.width) / 2.0
-    centre = cell.x + cell.width / 2.0
-    return (
-        max(0.0, centre - half),
-        min(layout.width, centre + half),
-        max(0.0, cell.y - extra_rows),
-        min(layout.height, cell.y + cell.height + extra_rows),
-    )
-
-
-def _rects_overlap(a: Tuple[float, float, float, float], b: Tuple[float, float, float, float]) -> bool:
-    return a[0] < b[1] and b[0] < a[1] and a[2] < b[3] and b[2] < a[3]
 
 
 def region_batch_order(
@@ -52,14 +38,13 @@ def region_batch_order(
     cells: List[Cell],
     *,
     max_batch: int = 448,
-    width_factor: float = 5.0,
-    min_width: float = 24.0,
-    extra_rows: int = 3,
 ) -> List[Cell]:
     """Region-level parallel processing order of the CPU-GPU legalizer.
 
     Starting from the size-descending sequence, cells are greedily packed
-    into batches of mutually non-overlapping regions; batches are emitted
+    into batches whose initial search windows
+    (:func:`~repro.mgl.local_region.initial_window`, the same base window
+    the FLEX ordering and step (c) use) do not overlap; batches are emitted
     one after another.  Within a batch the original priority is only a
     tie-break, so the resulting global order deviates from strict
     size-descending priority — the quality effect the paper highlights.
@@ -68,15 +53,13 @@ def region_batch_order(
     order: List[Cell] = []
     while pending:
         batch: List[Cell] = []
-        batch_rects: List[Tuple[float, float, float, float]] = []
+        batch_windows: List[Window] = []
         remaining: List[Cell] = []
         for cell in pending:
-            rect = _window_rect(
-                layout, cell, width_factor=width_factor, min_width=min_width, extra_rows=extra_rows
-            )
-            if len(batch) < max_batch and not any(_rects_overlap(rect, r) for r in batch_rects):
+            window = initial_window(layout, cell)
+            if len(batch) < max_batch and not any(window.overlaps(w) for w in batch_windows):
                 batch.append(cell)
-                batch_rects.append(rect)
+                batch_windows.append(window)
             else:
                 remaining.append(cell)
         order.extend(batch)

@@ -11,7 +11,10 @@ breakdown analyses so that the experiment harness can sweep them:
 
 The default configuration reproduces the full FLEX design: 2 FOP PEs,
 multi-granularity pipeline, all SACS optimisations, step (d) on the FPGA
-and steps (a)(b)(c)(e) on the CPU, 285 MHz FPGA clock.
+and steps (a)(b)(c)(e) on the CPU.  The platform is fixed: the 285 MHz
+kernel clock of :func:`repro.fpga.clock.pe_clock`, the 12 Gbit/s
+:class:`repro.fpga.link.HostLink`, and the sliding window ``W_s = 8`` of
+:class:`repro.core.ordering.SlidingWindowOrdering`.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ from repro.core.task_assignment import TaskPartition
 @dataclass(frozen=True)
 class FlexConfig:
     """Full configuration of a FLEX instance."""
-
-    # --- FPGA platform ---------------------------------------------------
-    fpga_clock_mhz: float = 285.0
-    """FPGA kernel clock (the Alveo U50 design runs at 285 MHz)."""
 
     # --- FOP datapath ------------------------------------------------------
     fop_pe_parallelism: int = 2
@@ -68,16 +67,6 @@ class FlexConfig:
     ``"multiprocess:N"`` with a pinned worker count).  Backends are bit-for-bit equivalent, so this
     only changes measured wall time, never results or recorded work."""
 
-    ordering_window_size: int = 8
-    """Size of the sliding window W_s."""
-
-    ping_pong_preload: bool = True
-    """Preload the next non-overlapping region into the free ping-pong RAM."""
-
-    pcie_gbps: float = 12.0
-    """Effective host-to-card bandwidth in Gbit/s (PCIe Gen3 x16 after
-    protocol overhead, conservative)."""
-
     # --------------------------------------------------------------------
     def with_updates(self, **kwargs) -> "FlexConfig":
         """Return a modified copy (convenience for ablation sweeps)."""
@@ -85,12 +74,8 @@ class FlexConfig:
 
     def validate(self) -> None:
         """Sanity-check the configuration; raises ``ValueError`` on issues."""
-        if self.fpga_clock_mhz <= 0:
-            raise ValueError("fpga_clock_mhz must be positive")
         if self.fop_pe_parallelism < 1:
             raise ValueError("fop_pe_parallelism must be at least 1")
-        if self.ordering_window_size < 2:
-            raise ValueError("ordering_window_size must be at least 2")
         from repro.kernels import available_backends, get_kernel_backend
 
         try:

@@ -101,10 +101,10 @@ class FlexLegalizer:
         self.config.validate()
         self.cpu_model = CpuCostModel(cpu_params)
         self.metrics = metrics
-        self.link = HostLink(bandwidth_gbps=self.config.pcie_gbps)
+        self.link = HostLink()
         # Result records stream back through a pre-posted buffer, so their
         # per-target latency is far below a full descriptor round-trip.
-        self.result_link = HostLink(bandwidth_gbps=self.config.pcie_gbps, latency_us=0.4)
+        self.result_link = HostLink(latency_us=0.4)
         self.resource_estimator = ResourceEstimator()
 
     # ------------------------------------------------------------------
@@ -121,7 +121,7 @@ class FlexLegalizer:
             backend=self.config.kernel_backend,
         )
         ordering = (
-            SlidingWindowOrdering(window_size=self.config.ordering_window_size)
+            SlidingWindowOrdering()
             if self.config.sliding_window_ordering
             else size_descending_order
         )
@@ -188,7 +188,6 @@ class FlexLegalizer:
                         fpga_compute=0.0,
                         transfer_out=0.0,
                         cpu_post=host["update"],
-                        preloadable=True,
                     )
                 )
                 continue
@@ -210,7 +209,6 @@ class FlexLegalizer:
                         target_assignment.fpga_to_host_words
                     ),
                     cpu_post=cpu_post,
-                    preloadable=target_assignment.preloadable and self.config.ping_pong_preload,
                 )
             )
         timeline = CoExecutionTimeline(

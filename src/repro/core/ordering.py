@@ -12,12 +12,16 @@ which a sliding window ``W_s`` moves:
 
 * the first cell of ``W_s`` (``C_cur``) is processed next;
 * the second cell (``C_next``) is kept fixed so that its localRegion can
-  be preloaded into the free ping-pong RAM while ``C_cur`` is processed;
+  be preloaded into the free ping-pong RAM while ``C_cur`` is processed
+  (the runtime model treats every region after the first as preloaded,
+  see :mod:`repro.perf.timeline`);
 * the remaining cells of ``W_s`` are reordered by their localRegion
   density, descending.
 
 Region densities are estimated from a coarse occupancy grid built over
-the pre-moved cell positions; the grid is cheap to evaluate per window
+the pre-moved cell positions, each over the cell's initial search window
+(:func:`repro.mgl.local_region.initial_window`, the same rectangle step
+(c) starts from); the grid is cheap to evaluate per window
 and is a faithful stand-in for the density computed by step (c), because
 the cell area inside a window barely changes while legalization replaces
 floating cells with legal ones in the same neighbourhood.
@@ -33,6 +37,12 @@ import numpy as np
 
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
+from repro.geometry.region import Window
+from repro.mgl.local_region import initial_window
+
+#: Density-grid bin size in sites and rows.
+BIN_SITES = 8.0
+BIN_ROWS = 2.0
 
 
 @dataclass
@@ -41,36 +51,30 @@ class OrderingStats:
 
     comparisons: int = 0
     window_slides: int = 0
-    preloadable_pairs: int = 0
-    """Number of consecutive (C_cur, C_next) pairs whose windows do not
-    overlap, i.e. for which the ping-pong preload can hide the transfer."""
 
 
 class DensityGrid:
     """Coarse occupancy grid used to estimate localRegion densities."""
 
-    def __init__(self, layout: Layout, *, bin_sites: float = 8.0, bin_rows: float = 2.0) -> None:
-        self.bin_sites = max(1.0, bin_sites)
-        self.bin_rows = max(1.0, bin_rows)
-        self.nx = max(1, int(math.ceil(layout.width / self.bin_sites)))
-        self.ny = max(1, int(math.ceil(layout.height / self.bin_rows)))
+    def __init__(self, layout: Layout) -> None:
+        self.nx = max(1, int(math.ceil(layout.width / BIN_SITES)))
+        self.ny = max(1, int(math.ceil(layout.height / BIN_ROWS)))
         self.area = np.zeros((self.ny, self.nx))
-        self.bin_area = self.bin_sites * self.bin_rows
         for cell in layout.cells:
-            cx = min(self.nx - 1, max(0, int((cell.x + cell.width / 2.0) / self.bin_sites)))
-            cy = min(self.ny - 1, max(0, int((cell.y + cell.height / 2.0) / self.bin_rows)))
+            cx = min(self.nx - 1, max(0, int((cell.x + cell.width / 2.0) / BIN_SITES)))
+            cy = min(self.ny - 1, max(0, int((cell.y + cell.height / 2.0) / BIN_ROWS)))
             self.area[cy, cx] += cell.area
 
-    def window_density(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> float:
-        """Approximate cell-area density of a rectangular window."""
-        ix_lo = max(0, int(x_lo / self.bin_sites))
-        ix_hi = min(self.nx, int(math.ceil(x_hi / self.bin_sites)))
-        iy_lo = max(0, int(y_lo / self.bin_rows))
-        iy_hi = min(self.ny, int(math.ceil(y_hi / self.bin_rows)))
+    def window_density(self, window: Window) -> float:
+        """Approximate cell-area density of a search window."""
+        ix_lo = max(0, int(window.x_lo / BIN_SITES))
+        ix_hi = min(self.nx, int(math.ceil(window.x_hi / BIN_SITES)))
+        iy_lo = max(0, int(window.row_lo / BIN_ROWS))
+        iy_hi = min(self.ny, int(math.ceil(window.row_hi / BIN_ROWS)))
         if ix_hi <= ix_lo or iy_hi <= iy_lo:
             return 0.0
         occupied = float(self.area[iy_lo:iy_hi, ix_lo:ix_hi].sum())
-        covered = (ix_hi - ix_lo) * (iy_hi - iy_lo) * self.bin_area
+        covered = (ix_hi - ix_lo) * (iy_hi - iy_lo) * BIN_SITES * BIN_ROWS
         return occupied / covered
 
 
@@ -85,45 +89,18 @@ class SlidingWindowOrdering:
     ----------
     window_size:
         Number of cells in the sliding window ``W_s``.
-    width_factor / min_width / extra_rows:
-        Sizing of the per-cell region window used for the density
-        estimate; should match the legalizer's window parameters.
     """
 
-    def __init__(
-        self,
-        *,
-        window_size: int = 8,
-        width_factor: float = 5.0,
-        min_width: float = 24.0,
-        extra_rows: int = 3,
-    ) -> None:
+    def __init__(self, *, window_size: int = 8) -> None:
         if window_size < 2:
             raise ValueError("window_size must be at least 2")
         self.window_size = window_size
-        self.width_factor = width_factor
-        self.min_width = min_width
-        self.extra_rows = extra_rows
         self.stats = OrderingStats()
 
     # ------------------------------------------------------------------
-    def _cell_window(self, layout: Layout, cell: Cell) -> tuple:
-        half_width = max(self.min_width, self.width_factor * cell.width) / 2.0
-        centre = cell.x + cell.width / 2.0
-        bottom = cell.y
-        return (
-            max(0.0, centre - half_width),
-            min(layout.width, centre + half_width),
-            max(0.0, bottom - self.extra_rows),
-            min(layout.height, bottom + cell.height + self.extra_rows),
-        )
-
     def _densities(self, layout: Layout, cells: Sequence[Cell]) -> dict:
         grid = DensityGrid(layout)
-        densities = {}
-        for cell in cells:
-            densities[cell.index] = grid.window_density(*self._cell_window(layout, cell))
-        return densities
+        return {cell.index: grid.window_density(initial_window(layout, cell)) for cell in cells}
 
     # ------------------------------------------------------------------
     def __call__(self, layout: Layout, cells: List[Cell]) -> List[Cell]:
@@ -155,16 +132,6 @@ class SlidingWindowOrdering:
             if upcoming_pos < len(upcoming):
                 window.append(upcoming[upcoming_pos])
                 upcoming_pos += 1
-            # Track whether the next region could be preloaded (windows of
-            # consecutive targets not overlapping).
-            if window:
-                cur_win = self._cell_window(layout, current)
-                nxt_win = self._cell_window(layout, window[0])
-                disjoint = cur_win[1] <= nxt_win[0] or nxt_win[1] <= cur_win[0] or (
-                    cur_win[3] <= nxt_win[2] or nxt_win[3] <= cur_win[2]
-                )
-                if disjoint:
-                    self.stats.preloadable_pairs += 1
         return order
 
     @property

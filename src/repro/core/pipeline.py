@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 class PipelineOrganization(enum.Enum):
@@ -71,19 +71,6 @@ FOP_STAGES_SPEC: Tuple[StageSpec, ...] = (
 #: Extra cycles per element for a RAM round-trip between stages of the
 #: normal pipeline (write by the producer + read by the consumer).
 MEMORY_ROUNDTRIP_CYCLES_PER_ITEM: float = 2.0
-
-
-@dataclass(frozen=True)
-class StreamSchedule:
-    """Cycle estimate of one insertion point under a given organisation."""
-
-    total_cycles: float
-    stage_cycles: Dict[str, float]
-    organisation: PipelineOrganization
-
-    def dominant_stage(self) -> str:
-        """Name of the stage with the largest cycle share."""
-        return max(self.stage_cycles, key=self.stage_cycles.get)
 
 
 def stage_names() -> List[str]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.perf.counters import LegalizationTrace, TargetCellWork
 
@@ -57,7 +57,6 @@ class TargetAssignment:
     fpga_steps: Tuple[str, ...]
     host_to_fpga_words: int
     fpga_to_host_words: int
-    preloadable: bool
 
 
 @dataclass
@@ -78,9 +77,6 @@ class AssignmentSummary:
     @property
     def total_transfer_words(self) -> int:
         return self.total_host_to_fpga_words + self.total_fpga_to_host_words
-
-    def cpu_step_set(self) -> Tuple[str, ...]:
-        return self.targets[0].cpu_steps if self.targets else ()
 
 
 class TaskAssignment:
@@ -107,7 +103,7 @@ class TaskAssignment:
         return ("fop", "update")
 
     # ------------------------------------------------------------------
-    def assign_target(self, work: TargetCellWork, *, preloadable: bool) -> TargetAssignment:
+    def assign_target(self, work: TargetCellWork) -> TargetAssignment:
         """Host/device split for one target cell."""
         cpu_steps = self.steps_on_cpu()
         fpga_steps = self.steps_on_fpga()
@@ -131,23 +127,9 @@ class TaskAssignment:
             fpga_steps=fpga_steps,
             host_to_fpga_words=to_fpga,
             fpga_to_host_words=to_host,
-            preloadable=preloadable,
         )
 
-    def assign_trace(
-        self, trace: LegalizationTrace, *, preload_flags: Iterable[bool] = ()
-    ) -> AssignmentSummary:
-        """Host/device split for every target of a run.
-
-        ``preload_flags`` optionally marks, per target, whether its region
-        could be preloaded while the previous target was processed (from
-        the sliding-window ordering stats); missing entries default to
-        preloadable, matching the paper's observation that the visible
-        communication cost reduces to the first region's transfer.
-        """
-        flags = list(preload_flags)
-        targets = []
-        for i, work in enumerate(trace.targets):
-            preloadable = flags[i] if i < len(flags) else True
-            targets.append(self.assign_target(work, preloadable=preloadable))
+    def assign_trace(self, trace: LegalizationTrace) -> AssignmentSummary:
+        """Host/device split for every target of a run."""
+        targets = [self.assign_target(work) for work in trace.targets]
         return AssignmentSummary(partition=self.partition, targets=targets)

@@ -88,11 +88,6 @@ class ExperimentResult:
 _BUNDLE_CACHE: Dict[Tuple[str, float, Optional[int], Tuple[str, ...]], DesignBundle] = {}
 
 
-def clear_bundle_cache() -> None:
-    """Drop all cached design runs (used by tests)."""
-    _BUNDLE_CACHE.clear()
-
-
 def run_design(
     name: str,
     *,

@@ -115,22 +115,3 @@ class PingPongRam:
 
     def access_cycles(self, n_parallel_reads: int) -> int:
         return self.inner.access_cycles(n_parallel_reads)
-
-
-# ----------------------------------------------------------------------
-# Default table sizing of one FOP PE (used by the resource estimator)
-# ----------------------------------------------------------------------
-def default_sacs_tables(max_local_cells: int = 512, max_rows: int = 64) -> dict:
-    """Nominal table configuration of one SACS PE.
-
-    ``max_local_cells`` bounds the number of localCells a region may hold
-    on the card; ``max_rows`` bounds the number of rows of a window.
-    """
-    return {
-        "LCT": BramBank("LCT", depth=max_local_cells, width_bits=96),
-        "LCPT": PingPongRam(BramBank("LCPT", depth=max_local_cells, width_bits=32)),
-        "CST": PingPongRam(BramBank("CST", depth=max_rows, width_bits=32)),
-        "LSC": OddEvenRam(BramBank("LSC", depth=max_local_cells * 2, width_bits=16)),
-        "Cs": BramBank("Cs", depth=max_local_cells, width_bits=16),
-        "InsertionPointRAM": BramBank("InsertionPointRAM", depth=2048, width_bits=64),
-    }

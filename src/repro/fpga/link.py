@@ -1,10 +1,11 @@
 """Host <-> FPGA card transfer model.
 
 FLEX streams each target's localRegion descriptor to the card and reads
-back a small result record.  With ping-pong preloading the transfers of
-all but the first region overlap compute; the timeline model decides
-which transfers are visible — this module only converts word counts into
-seconds.
+back a small result record.  The sliding-window ordering keeps ``C_next``
+fixed, so every region after the first is preloaded into the free
+ping-pong RAM while the previous one computes; the timeline model
+(:mod:`repro.perf.timeline`) therefore charges only the first region's
+transfer.  This module only converts word counts into seconds.
 """
 
 from __future__ import annotations

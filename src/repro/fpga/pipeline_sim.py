@@ -140,7 +140,7 @@ class FpgaPipelineModel:
     # ------------------------------------------------------------------
     def estimate(self, trace: LegalizationTrace) -> FpgaEstimate:
         """Estimate the FPGA cycles of a whole run."""
-        estimate = FpgaEstimate(clock=pe_clock(self.config.fpga_clock_mhz))
+        estimate = FpgaEstimate(clock=pe_clock())
         # One stage split per insertion point feeds both the targets'
         # totals and the run's per-stage totals.
         ip_cycles, stages = self._pe_model.point_cycles(trace.point_columns())

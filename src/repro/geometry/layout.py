@@ -134,10 +134,6 @@ class Layout:
         """Movable cells whose final position has been committed."""
         return [c for c in self.cells if not c.fixed and c.legalized]
 
-    def total_cell_area(self, movable_only: bool = False) -> float:
-        """Sum of cell areas (optionally restricted to movable cells)."""
-        return sum(c.area for c in self.cells if not (movable_only and c.fixed))
-
     def density(self) -> float:
         """Design density: total cell area / free core area (paper Table 1)."""
         fixed_area = sum(c.area for c in self.fixed_cells())

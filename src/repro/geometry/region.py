@@ -67,6 +67,19 @@ class Window:
             row_hi=min(layout_rows, self.row_hi + drows),
         )
 
+    def overlaps(self, other: "Window") -> bool:
+        """True when the two windows share area (a common edge is no overlap).
+
+        The CPU-GPU baseline batches only targets whose windows do not
+        overlap (:func:`repro.baselines.cpu_gpu.region_batch_order`).
+        """
+        return (
+            self.x_lo < other.x_hi
+            and other.x_lo < self.x_hi
+            and self.row_lo < other.row_hi
+            and other.row_lo < self.row_hi
+        )
+
     def contains_rect(self, x: float, y: float, w: float, h: float) -> bool:
         """True when the rectangle ``[x, x+w) x [y, y+h)`` fits inside the window."""
         return (
@@ -204,33 +217,9 @@ class LocalRegion:
         """All localCells sorted by their snapshot x (the SACS pre-sort)."""
         return sorted(self.local_cells, key=lambda lc: (lc.x, lc.local_index), reverse=descending)
 
-    def free_area(self) -> float:
-        """Total free segment area minus the localCells' area."""
-        seg_area = sum(seg.length for seg in self.segments.values())
-        cell_area = sum(lc.width * len(lc.rows) for lc in self.local_cells)
-        return seg_area - cell_area
-
-    def occupied_fraction(self) -> float:
-        """LocalCell area (plus the target) over total segment area."""
-        seg_area = sum(seg.length for seg in self.segments.values())
-        if seg_area <= 0:
-            return float("inf")
-        cell_area = sum(lc.width * len(lc.rows) for lc in self.local_cells)
-        return (cell_area + self.target.area) / seg_area
-
     def total_subcells(self) -> int:
         """Total number of subcells in the region (Fig. 6 traversal unit)."""
         return sum(len(v) for v in self.row_cells.values())
-
-    def overlaps_window(self, other: "LocalRegion") -> bool:
-        """True when the two regions' windows intersect.
-
-        Used by the FLEX ordering / ping-pong preloading logic: the next
-        target's region can be preloaded only when it does not overlap the
-        currently processed one (paper Sec. 3.1.2).
-        """
-        a, b = self.window, other.window
-        return a.x_lo < b.x_hi and b.x_lo < a.x_hi and a.row_lo < b.row_hi and b.row_lo < a.row_hi
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

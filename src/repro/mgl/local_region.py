@@ -7,9 +7,11 @@ else (fixed blockages and cells that only partially overlap the window)
 is treated as a blockage that clips the segments.
 
 FLEX keeps this step on the host and overlaps it with FOP on the FPGA
-(paper Sec. 3.1.1).  The sliding-window processing ordering (Sec. 3.1.2)
-does not read anything computed here: it estimates density from its own
-coarse :class:`~repro.core.ordering.DensityGrid`.
+(paper Sec. 3.1.1).  :func:`initial_window` is the one search-window
+shape: the sliding-window processing ordering (Sec. 3.1.2) estimates
+each target's density over it with a coarse
+:class:`~repro.core.ordering.DensityGrid`, and the CPU-GPU baseline
+batches targets whose initial windows do not overlap.
 """
 
 from __future__ import annotations

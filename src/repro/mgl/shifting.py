@@ -67,11 +67,6 @@ class ShiftOutcome:
     tall_accesses: int = 0
     sorted_cells: int = 0
 
-    @property
-    def n_affected(self) -> int:
-        """Number of cells that received a finite threshold."""
-        return len(self.left_thresholds) + len(self.right_thresholds)
-
 
 # ----------------------------------------------------------------------
 # Shared geometry helpers
@@ -110,14 +105,6 @@ def _feasibility_bounds(
         _, seg_hi = _segment_bounds_for_cell(region, cell)
         hi = min(hi, r + (seg_hi - cell.right) - target.width)
     return lo, hi
-
-
-def _record_access(outcome: ShiftOutcome, cell: LocalCell) -> None:
-    outcome.cell_visits += 1
-    if cell.height > 1:
-        outcome.multirow_accesses += 1
-    if cell.height > 3:
-        outcome.tall_accesses += 1
 
 
 @dataclass

@@ -74,11 +74,6 @@ class CpuTimeBreakdown:
     def total(self) -> float:
         return self.premove + self.ordering + self.region + self.fop + self.update
 
-    @property
-    def cpu_side_without_fop(self) -> float:
-        """Time of the steps FLEX keeps on the CPU (a, b, c, e)."""
-        return self.premove + self.ordering + self.region + self.update
-
     def as_dict(self) -> Dict[str, float]:
         out = {
             "premove": self.premove,

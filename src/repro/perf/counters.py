@@ -106,11 +106,6 @@ class InsertionPointWork:
     tall_accesses: int = 0
     feasible: bool = True
 
-    @property
-    def chain_total(self) -> int:
-        """Total number of shifted (affected) cells."""
-        return self.chain_left + self.chain_right
-
 
 class PointRun(NamedTuple):
     """The region constants of a run of consecutive insertion points.

@@ -16,9 +16,8 @@ def format_table(
     rows: Sequence[Sequence[object]],
     *,
     float_format: str = "{:.3f}",
-    min_width: int = 6,
 ) -> str:
-    """Format a list of rows as an aligned ASCII table."""
+    """Format a list of rows as an aligned ASCII table (columns at least 6 wide)."""
 
     def render(value: object) -> str:
         if isinstance(value, float):
@@ -26,7 +25,7 @@ def format_table(
         return str(value)
 
     rendered = [[render(v) for v in row] for row in rows]
-    widths = [max(min_width, len(h)) for h in headers]
+    widths = [max(6, len(h)) for h in headers]
     for row in rendered:
         for i, value in enumerate(row):
             widths[i] = max(widths[i], len(value))

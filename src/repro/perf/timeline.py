@@ -1,10 +1,12 @@
 """CPU + FPGA co-execution timeline of FLEX.
 
 FLEX overlaps host and device work: while the FPGA runs FOP for target
-``i``, the CPU commits the update of target ``i-1`` and builds (and, when
-the regions do not overlap, preloads into the free ping-pong RAM) the
-region of target ``i+1``.  The visible communication cost therefore
-reduces to the transfer of the *first* region (paper Sec. 5.3).
+``i``, the CPU commits the update of target ``i-1`` and builds the region
+of target ``i+1`` and preloads it into the free ping-pong RAM.  The
+sliding-window ordering keeps ``C_next`` fixed so that region is known in
+advance (Sec. 3.1.2), and the model assumes every region after the first
+is preloaded: the visible communication cost is the transfer of the
+*first* region only (paper Sec. 5.3).
 
 :class:`CoExecutionTimeline` replays this schedule from per-target CPU
 times, per-target FPGA times and per-target transfer times, producing the
@@ -34,8 +36,6 @@ class TimelineEntry:
     """Device-to-host transfer time of the results."""
     cpu_post: float
     """Host time to commit the results (insert & update, when on the CPU)."""
-    preloadable: bool = True
-    """Whether the region could be preloaded while the previous target ran."""
 
 
 @dataclass
@@ -94,9 +94,8 @@ class CoExecutionTimeline:
 
         * the FPGA can start once the device is free, the region data is on
           the card, and the host has finished building that region;
-        * when the region was preloaded (``preloadable`` and not the first
-          target) its transfer overlapped the previous FPGA run and does
-          not delay the device;
+        * every region after the first was preloaded: its transfer
+          overlapped the previous FPGA run and does not delay the device;
         * the host commits the results after the FPGA finishes and the
           (small) result transfer completes; commits never block the device
           unless ``prep_depends_on_results`` is set.
@@ -122,8 +121,8 @@ class CoExecutionTimeline:
             cpu_busy += entry.cpu_prep
 
             # Region transfer: hidden by ping-pong preloading except for the
-            # first region or when the next region overlaps the current one.
-            if i == 0 or not entry.preloadable:
+            # first region.
+            if i == 0:
                 data_ready = prep_done + entry.transfer_in
                 visible_transfer += entry.transfer_in
             else:

@@ -411,13 +411,17 @@ class TestWindowAndRegion:
         xs_desc = [lc.x for lc in region.sorted_by_x(descending=True)]
         assert xs_desc == sorted(xs, reverse=True)
 
-    def test_region_window_overlap(self):
-        t = Cell(index=0, width=1, height=1, gp_x=0, gp_y=0)
-        a = LocalRegion(window=Window(0, 10, 0, 4), target=t)
-        b = LocalRegion(window=Window(8, 20, 2, 6), target=t)
-        c = LocalRegion(window=Window(12, 20, 0, 4), target=t)
-        assert a.overlaps_window(b)
-        assert not a.overlaps_window(c)
+    def test_window_overlaps(self):
+        a = Window(0, 10, 0, 4)
+        b = Window(8, 20, 2, 6)
+        c = Window(12, 20, 0, 4)
+        assert a.overlaps(b) and b.overlaps(a)
+        assert not a.overlaps(c) and not c.overlaps(a)
+        # Windows that share only an edge (a column or a row boundary)
+        # leave no common area, so they do not overlap.
+        assert not a.overlaps(Window(10, 20, 0, 4))
+        assert not a.overlaps(Window(0, 10, 4, 8))
+        assert not a.overlaps(Window(10, 20, 4, 8))
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,13 @@ from repro.core.ordering import DensityGrid
 from repro.core.pipeline import PipelineOrganization
 from repro.core.sacs import SortAheadShifter
 from repro.legality import LegalityChecker
-from repro.mgl import MGLLegalizer, initial_window
+from repro.mgl import MGLLegalizer, initial_window, local_region
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import size_descending_order
 
-from repro.geometry import Cell
+from repro.baselines import region_batch_order
+from repro.geometry import Cell, Window
+from repro.mgl.premove import premove
 from repro.testing import add_target, make_layout, small_design
 
 
@@ -111,8 +113,35 @@ class TestSlidingWindowOrdering:
 
     def test_density_grid_matches_layout_density(self, dense_design):
         grid = DensityGrid(dense_design)
-        estimate = grid.window_density(0, dense_design.width, 0, dense_design.height)
+        estimate = grid.window_density(Window(0, dense_design.width, 0, dense_design.num_rows))
         assert estimate == pytest.approx(dense_design.density(), rel=0.3)
+
+
+class TestSharedInitialWindow:
+    """The ordering and the CPU-GPU baseline size windows with ``initial_window``."""
+
+    @pytest.fixture
+    def whole_chip_windows(self, monkeypatch):
+        layout = small_design(120, 0.7, seed=33)
+        premove(layout)
+        # Every target's initial window now covers the whole chip.
+        monkeypatch.setattr(local_region, "WINDOW_WIDTH_FACTOR", 2.0 * layout.width)
+        monkeypatch.setattr(local_region, "EXTRA_ROWS", layout.num_rows)
+        return layout
+
+    def test_batch_order_follows_window_constants(self, whole_chip_windows):
+        # All windows overlap, so every batch holds one cell and the
+        # batches come out in plain size order.
+        layout = whole_chip_windows
+        cells = layout.movable_cells()
+        batched = [c.index for c in region_batch_order(layout, cells)]
+        assert batched == [c.index for c in size_descending_order(layout, cells)]
+
+    def test_density_windows_follow_window_constants(self, whole_chip_windows):
+        layout = whole_chip_windows
+        chip = DensityGrid(layout).window_density(Window(0.0, layout.width, 0, layout.num_rows))
+        densities = SlidingWindowOrdering()._densities(layout, layout.movable_cells())
+        assert set(densities.values()) == {chip}
 
 
 class TestFlexLegalizer:

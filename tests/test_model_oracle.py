@@ -145,7 +145,7 @@ def ref_target_breakdown(model, work, ip_cycles):
 
 
 def ref_estimate(model, trace):
-    estimate = FpgaEstimate(clock=pe_clock(model.config.fpga_clock_mhz))
+    estimate = FpgaEstimate(clock=pe_clock())
     stage_totals: Dict[str, float] = {}
     pe = model._pe_model
     for work in trace.targets:

@@ -210,7 +210,6 @@ class TestTimeline:
                 fpga_compute=fpga,
                 transfer_out=xfer / 4,
                 cpu_post=post,
-                preloadable=True,
             )
             for i in range(n)
         ]
@@ -228,15 +227,6 @@ class TestTimeline:
         timeline = CoExecutionTimeline()
         result = timeline.run(self._entries(n=10, xfer=5e-6))
         assert result.visible_transfer == pytest.approx(5e-6, rel=0.01)
-
-    def test_non_preloadable_transfers_add_up(self):
-        entries = self._entries(n=10, xfer=5e-6)
-        entries = [
-            TimelineEntry(e.cell_index, e.cpu_prep, e.transfer_in, e.fpga_compute, e.transfer_out, e.cpu_post, preloadable=False)
-            for e in entries
-        ]
-        result = CoExecutionTimeline().run(entries)
-        assert result.visible_transfer == pytest.approx(10 * 5e-6, rel=0.01)
 
     def test_serialized_when_prep_depends_on_results(self):
         entries = self._entries(n=10)
