@@ -100,7 +100,7 @@ def test_bench_curve_pipeline_original(benchmark, shifting_case):
     for p in points[:64]:
         outcome = shift_cells_sacs(region, target, p, context)
         if outcome.feasible:
-            pieces, const = build_curves(region, target, p.bottom_row, outcome, 10.0)
+            pieces, const = build_curves(region, target, p.bottom_row, outcome)
             cases.append((pieces, const, outcome.xt_lo, outcome.xt_hi))
 
     def run():
@@ -118,7 +118,7 @@ def test_bench_curve_pipeline_fwd_bwd(benchmark, shifting_case):
     for p in points[:64]:
         outcome = shift_cells_sacs(region, target, p, context)
         if outcome.feasible:
-            pieces, const = build_curves(region, target, p.bottom_row, outcome, 10.0)
+            pieces, const = build_curves(region, target, p.bottom_row, outcome)
             cases.append((pieces, const, outcome.xt_lo, outcome.xt_hi))
 
     def run():
@@ -185,20 +185,13 @@ def test_bench_backend_sacs_chains(benchmark, dense_shifting_case, backend_name)
 def test_bench_backend_fop(benchmark, dense_shifting_case, backend_name):
     """Full FOP (loop1-3) for one target on a dense region, per backend."""
     _, target, region, _ = dense_shifting_case
-    config = FOPConfig(
-        shifter=SortAheadShifter(backend=backend_name),
-        backend=backend_name,
-        use_fwd_bwd_pipeline=True,
-    )
+    config = FOPConfig(shifter=SortAheadShifter(backend=backend_name), backend=backend_name)
 
     def run():
         return find_optimal_position(region, target, config)
 
     result = benchmark(run)
-    reference = find_optimal_position(
-        region, target,
-        FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True),
-    )
+    reference = find_optimal_position(region, target, FOPConfig(shifter=SortAheadShifter()))
     assert (result.feasible, result.bottom_row, result.x, result.cost) == (
         reference.feasible, reference.bottom_row, reference.x, reference.cost
     )

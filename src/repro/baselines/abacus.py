@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
@@ -79,8 +79,8 @@ class AbacusResult:
 class AbacusLegalizer:
     """Row-based Abacus legalizer with greedy pre-placement of multi-row cells."""
 
-    def __init__(self, *, metrics: Optional[PlacementMetrics] = None) -> None:
-        self.metrics = metrics or PlacementMetrics()
+    def __init__(self) -> None:
+        self.metrics = PlacementMetrics()
 
     # ------------------------------------------------------------------
     def legalize(self, layout: Layout) -> AbacusResult:

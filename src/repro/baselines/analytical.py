@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 from repro.geometry.cell import Cell
@@ -92,12 +92,11 @@ class AnalyticalLegalizer:
         max_iterations: int = 400,
         convergence_tol: float = 1e-3,
         pull_strength: float = 0.35,
-        metrics: Optional[PlacementMetrics] = None,
     ) -> None:
         self.max_iterations = max_iterations
         self.convergence_tol = convergence_tol
         self.pull_strength = pull_strength
-        self.metrics = metrics or PlacementMetrics()
+        self.metrics = PlacementMetrics()
 
     # ------------------------------------------------------------------
     def legalize(self, layout: Layout) -> AnalyticalResult:

@@ -25,11 +25,10 @@ from typing import List, Optional
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
 from repro.geometry.region import Window
-from repro.legality.metrics import PlacementMetrics
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import LegalizationResult, MGLLegalizer
 from repro.mgl.local_region import initial_window
-from repro.perf.cost_model import CpuCostModel, CpuCostParameters
+from repro.perf.cost_model import CpuCostModel
 from repro.perf.gpu_model import CpuGpuBreakdown, CpuGpuModel, GpuModelParameters
 
 
@@ -102,13 +101,10 @@ class CpuGpuBaseline:
         self,
         *,
         gpu_params: Optional[GpuModelParameters] = None,
-        cpu_params: Optional[CpuCostParameters] = None,
-        metrics: Optional[PlacementMetrics] = None,
     ) -> None:
         self.gpu_params = gpu_params or GpuModelParameters()
-        self.cost_model = CpuCostModel(cpu_params)
+        self.cost_model = CpuCostModel()
         self.gpu_model = CpuGpuModel(self.gpu_params, self.cost_model)
-        self.metrics = metrics
 
     def legalize(self, layout: Layout) -> CpuGpuRunResult:
         """Legalize with the region-batch order and model the runtime."""
@@ -116,7 +112,6 @@ class CpuGpuBaseline:
         legalizer = MGLLegalizer(
             FOPConfig(),
             ordering=ordering,
-            metrics=self.metrics,
             algorithm_name="cpu-gpu-date22",
         )
         result = legalizer.legalize(layout)

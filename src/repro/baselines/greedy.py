@@ -22,15 +22,13 @@ from repro.mgl.legalizer import nearest_free_slot
 from repro.mgl.premove import premove
 from repro.perf.counters import LegalizationTrace, TargetCellWork
 
-#: Cost of one row of vertical displacement, in sites.
-VERTICAL_COST_FACTOR = 10.0
 #: Bottom rows tried, nearest first, before the best slot found is taken.
 ROW_SEARCH_LIMIT = 24
 
 
 def greedy_position(layout: Layout, cell: Cell) -> Optional[Tuple[float, int]]:
     """The greedy baseline's slot for ``cell``: the nearest free one."""
-    return nearest_free_slot(layout, cell, VERTICAL_COST_FACTOR, ROW_SEARCH_LIMIT)
+    return nearest_free_slot(layout, cell, ROW_SEARCH_LIMIT)
 
 
 @dataclass
@@ -55,8 +53,8 @@ class GreedyResult:
 class GreedyLegalizer:
     """Greedy (tetris-style) mixed-cell-height legalizer."""
 
-    def __init__(self, *, metrics: Optional[PlacementMetrics] = None) -> None:
-        self.metrics = metrics or PlacementMetrics(site_width_units=1.0 / VERTICAL_COST_FACTOR)
+    def __init__(self) -> None:
+        self.metrics = PlacementMetrics()
 
     # ------------------------------------------------------------------
     def legalize(self, layout: Layout) -> GreedyResult:

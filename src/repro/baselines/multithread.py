@@ -12,13 +12,12 @@ converts the recorded single-thread work into the multi-threaded runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.geometry.layout import Layout
-from repro.legality.metrics import PlacementMetrics
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import LegalizationResult, MGLLegalizer
-from repro.perf.cost_model import CpuCostModel, CpuCostParameters
+from repro.perf.cost_model import CpuCostModel
 from repro.perf.thread_model import MultiThreadModel
 
 
@@ -40,21 +39,14 @@ class MultiThreadedRunResult:
 class MultiThreadedMglBaseline:
     """Runs MGL and models its multi-threaded CPU runtime (TCAD'22)."""
 
-    def __init__(
-        self,
-        *,
-        threads: int = 8,
-        cpu_params: Optional[CpuCostParameters] = None,
-        metrics: Optional[PlacementMetrics] = None,
-    ) -> None:
+    def __init__(self, *, threads: int = 8) -> None:
         self.threads = threads
-        self.cost_model = CpuCostModel(cpu_params)
+        self.cost_model = CpuCostModel()
         self.thread_model = MultiThreadModel(threads=threads, cost_model=self.cost_model)
-        self.metrics = metrics
 
     def legalize(self, layout: Layout) -> MultiThreadedRunResult:
         """Legalize with MGL and attach the modeled multi-threaded runtime."""
-        legalizer = MGLLegalizer(FOPConfig(), metrics=self.metrics, algorithm_name="mgl-tcad22")
+        legalizer = MGLLegalizer(FOPConfig(), algorithm_name="mgl-tcad22")
         result = legalizer.legalize(layout)
         return self.model_run(result)
 

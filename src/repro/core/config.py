@@ -4,7 +4,8 @@
 breakdown analyses so that the experiment harness can sweep them:
 
 * the FOP PE parallelism (Fig. 8, "1P"/"2P"),
-* the pipeline organisation (normal / SACS / multi-granularity, Fig. 8),
+* the pipeline organisation the FPGA model prices (normal / SACS /
+  multi-granularity, Fig. 8; the host always minimizes in fwd/bwd form),
 * the SACS architecture and bandwidth optimisations (Fig. 9),
 * the CPU/FPGA task partition (Fig. 10),
 * the sliding-window processing ordering (Sec. 3.1.2).

@@ -23,15 +23,13 @@ from typing import Dict, List, Optional
 
 from repro.core.config import FlexConfig
 from repro.core.ordering import SlidingWindowOrdering
-from repro.core.pipeline import PipelineOrganization
 from repro.core.sacs import SortAheadShifter
 from repro.core.task_assignment import TaskAssignment, TaskPartition
 from repro.geometry.layout import Layout
-from repro.legality.metrics import PlacementMetrics
 from repro.mgl.fop import FOPConfig
 from repro.mgl.legalizer import LegalizationResult, MGLLegalizer, size_descending_order
 from repro.mgl.shifting import OriginalShifter
-from repro.perf.cost_model import CpuCostModel, CpuCostParameters, CpuTimeBreakdown
+from repro.perf.cost_model import CpuCostModel, CpuTimeBreakdown
 from repro.perf.counters import LegalizationTrace
 from repro.perf.timeline import CoExecutionTimeline, TimelineEntry, TimelineResult
 from repro.fpga.link import HostLink
@@ -82,25 +80,12 @@ class FlexLegalizer:
     config:
         Accelerator configuration (PE count, pipeline organisation, SACS
         options, task partition, ordering).
-    cpu_params:
-        Host CPU cost constants shared with the baseline models so that
-        speedups are computed on a common scale.
-    metrics:
-        Quality metric converter (defaults to the same unit conventions
-        as the MGL baseline).
     """
 
-    def __init__(
-        self,
-        config: Optional[FlexConfig] = None,
-        *,
-        cpu_params: Optional[CpuCostParameters] = None,
-        metrics: Optional[PlacementMetrics] = None,
-    ) -> None:
+    def __init__(self, config: Optional[FlexConfig] = None) -> None:
         self.config = config or FlexConfig()
         self.config.validate()
-        self.cpu_model = CpuCostModel(cpu_params)
-        self.metrics = metrics
+        self.cpu_model = CpuCostModel()
         self.link = HostLink()
         # Result records stream back through a pre-posted buffer, so their
         # per-target latency is far below a full descriptor round-trip.
@@ -115,11 +100,7 @@ class FlexLegalizer:
             if self.config.use_sacs
             else OriginalShifter()
         )
-        fop_config = FOPConfig(
-            shifter=shifter,
-            use_fwd_bwd_pipeline=self.config.pipeline is PipelineOrganization.MULTI_GRANULARITY,
-            backend=self.config.kernel_backend,
-        )
+        fop_config = FOPConfig(shifter=shifter, backend=self.config.kernel_backend)
         ordering = (
             SlidingWindowOrdering()
             if self.config.sliding_window_ordering
@@ -128,7 +109,6 @@ class FlexLegalizer:
         return MGLLegalizer(
             fop_config,
             ordering=ordering,
-            metrics=self.metrics,
             algorithm_name="flex",
         )
 

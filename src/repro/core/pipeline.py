@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 class PipelineOrganization(enum.Enum):
@@ -71,23 +71,3 @@ FOP_STAGES_SPEC: Tuple[StageSpec, ...] = (
 #: Extra cycles per element for a RAM round-trip between stages of the
 #: normal pipeline (write by the producer + read by the consumer).
 MEMORY_ROUNDTRIP_CYCLES_PER_ITEM: float = 2.0
-
-
-def stage_names() -> List[str]:
-    """Names of the FOP stages in dataflow order."""
-    return [s.name for s in FOP_STAGES_SPEC]
-
-
-def describe_organisation(org: PipelineOrganization) -> str:
-    """Human-readable description used in reports."""
-    if org is PipelineOrganization.NORMAL:
-        return (
-            "normal pipeline: operations run sequentially, intermediate "
-            "results round-trip through RAM"
-        )
-    if org is PipelineOrganization.SACS_ONLY:
-        return "SACS cell shifting, remaining operations sequential"
-    return (
-        "multi-granularity pipeline: stream I/O between SACS, sort and "
-        "fwdtraverse; coarse-grained handoff to bwdtraverse"
-    )

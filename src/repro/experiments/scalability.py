@@ -96,18 +96,13 @@ def run_worker_scalability(
     """
     from repro.benchgen import iccad2017_design
     from repro.kernels import MultiprocessKernelBackend
-    from repro.mgl.fop import FOPConfig
-    from repro.mgl.legalizer import MGLLegalizer
-    from repro.core.sacs import SortAheadShifter
+    from repro.mgl.legalizer import fast_mgl_legalizer
 
     repeat = max(1, int(repeat))
 
     def run_once(backend):
         layout = iccad2017_design(name, scale=scale, seed=seed)
-        legalizer = MGLLegalizer(
-            FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True),
-            backend=backend,
-        )
+        legalizer = fast_mgl_legalizer(backend)
         start = time.perf_counter()
         result = legalizer.legalize(layout)
         return result, time.perf_counter() - start

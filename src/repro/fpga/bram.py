@@ -109,9 +109,5 @@ class PingPongRam:
     def bram36_count(self) -> int:
         return 2 * self.inner.bram36_count()
 
-    def initialisation_hidden(self) -> bool:
-        """Initialisation of the inactive copy never stalls the PE."""
-        return True
-
     def access_cycles(self, n_parallel_reads: int) -> int:
         return self.inner.access_cycles(n_parallel_reads)

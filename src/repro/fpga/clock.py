@@ -22,29 +22,12 @@ class ClockDomain:
         if self.frequency_mhz <= 0:
             raise ValueError("clock frequency must be positive")
 
-    @property
-    def period_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1e3 / self.frequency_mhz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count in this domain to seconds."""
         return cycles / (self.frequency_mhz * 1e6)
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        """Convert seconds to cycles of this domain."""
-        return seconds * self.frequency_mhz * 1e6
-
-    def convert_cycles_to(self, cycles: float, other: "ClockDomain") -> float:
-        """Express a cycle count of this domain in cycles of another domain."""
-        return cycles * other.frequency_mhz / self.frequency_mhz
 
 
 def pe_clock(frequency_mhz: float = 285.0) -> ClockDomain:
     """The PE (kernel) clock domain."""
     return ClockDomain("pe", frequency_mhz)
 
-
-def memory_clock(frequency_mhz: float = 285.0, multiplier: float = 2.0) -> ClockDomain:
-    """The table clock domain (2x the PE clock with the bandwidth optimisation)."""
-    return ClockDomain("mem", frequency_mhz * multiplier)

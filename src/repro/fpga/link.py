@@ -43,11 +43,3 @@ class HostLink:
             return 0.0
         payload_bits = words * self.word_bytes * 8
         return self.latency_us * 1e-6 + payload_bits / (self.bandwidth_gbps * 1e9)
-
-    def batched_transfer_seconds(self, words: int, batch_words: int = 1024) -> float:
-        """Time when the words are moved in fixed-size batches."""
-        if words <= 0:
-            return 0.0
-        batches = max(1, -(-words // batch_words))
-        payload_bits = words * self.word_bytes * 8
-        return batches * self.latency_us * 1e-6 + payload_bits / (self.bandwidth_gbps * 1e9)

@@ -135,14 +135,6 @@ class Cell:
         """
         return abs(self.x - self.gp_x) * site_width + abs(self.y - self.gp_y) * row_height
 
-    def displacement_x(self) -> float:
-        """Horizontal component of the displacement, in site units."""
-        return abs(self.x - self.gp_x)
-
-    def displacement_y(self) -> float:
-        """Vertical component of the displacement, in row units."""
-        return abs(self.y - self.gp_y)
-
     # ------------------------------------------------------------------
     # Mutation helpers
     # ------------------------------------------------------------------

@@ -329,17 +329,6 @@ class Layout:
         """True for cells deleted via :meth:`retire_cell` (tombstones)."""
         return cell.fixed and cell.width == 0.0
 
-    def invalidate_summary_rows(self, row_lo: int, row_hi: int) -> None:
-        """Invalidate the free-space summary of rows ``[row_lo, row_hi)``.
-
-        The per-cell mutators above already invalidate the rows they
-        touch; this hook is for callers that edit row contents directly
-        (bulk loaders, tests) and would otherwise have to pay
-        :meth:`rebuild_index` just to refresh the summary.
-        """
-        for row in range(max(0, row_lo), min(self.num_rows, row_hi)):
-            self._row_prefix[row] = None
-
     def obstacles_in_row(self, row: int) -> List[Cell]:
         """Obstacle cells covering ``row``, sorted by current x."""
         return [self.cells[idx] for _, idx in self._row_index[row]]

@@ -150,11 +150,6 @@ class LocalCell:
     def gp_x(self) -> float:
         return self.cell.gp_x
 
-    @property
-    def num_subcells(self) -> int:
-        """Number of subcells (equals the cell height in row units)."""
-        return len(self.rows)
-
 
 @dataclass
 class LocalRegion:
@@ -204,10 +199,6 @@ class LocalRegion:
     def segment(self, row: int) -> LocalSegment:
         """Segment of ``row``; raises ``KeyError`` when the row has none."""
         return self.segments[row]
-
-    def cells_in_row(self, row: int) -> List[LocalCell]:
-        """LocalCells with a subcell in ``row``, sorted by x."""
-        return [self.local_cells[i] for i in self.row_cells.get(row, [])]
 
     def cell_indices_in_row(self, row: int) -> List[int]:
         """Local indices of the cells with a subcell in ``row``, sorted by x."""

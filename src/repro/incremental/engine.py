@@ -444,9 +444,8 @@ class IncrementalLegalizer:
         The wrapped :class:`~repro.mgl.legalizer.MGLLegalizer` (or a
         compatible object exposing ``legalize`` / ``legalize_subset``).
         Defaults to :func:`~repro.mgl.legalizer.fast_mgl_legalizer` (SACS
-        shifting plus the fwd/bwd curve pipeline), the host configuration
-        the CLI and the ECO experiments run; it places every cell exactly
-        where the original shifter and the five-stage pipeline do.
+        shifting), the host configuration the CLI and the ECO experiments
+        run; it places every cell exactly where the original shifter does.
     backend:
         Kernel backend of the default legalizer (any :mod:`repro.kernels`
         spec, e.g. ``"numpy"`` or ``"multiprocess:4"``).  Pass either a

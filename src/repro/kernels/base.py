@@ -6,10 +6,10 @@ the paths FLEX offloads to the FPGA and that dominate CPU runtime:
 * **displacement-curve construction** — turning a cell-shifting outcome
   into the elementary breakpoint pieces of the summed displacement curve
   (:meth:`KernelBackend.build_curves`);
-* **curve minimization** — the five-stage ``sort bp`` → ``merge bp`` →
-  ``sum slopesR`` → ``sum slopesL`` → ``calculate value`` pipeline (or
-  its fwdtraverse/bwdtraverse reorganisation) that finds the optimal
-  target position (:meth:`KernelBackend.minimize`);
+* **curve minimization** — the fwdtraverse/bwdtraverse organisation of
+  the paper's ``sort bp`` → ``merge bp`` → ``sum slopesR`` →
+  ``sum slopesL`` → ``calculate value`` pipeline, which finds the
+  optimal target position (:meth:`KernelBackend.minimize`);
 * **batch curve evaluation** — exact evaluation of the summed curve at
   candidate site positions, used by FOP's snapping step
   (:meth:`KernelBackend.evaluate`);
@@ -107,7 +107,6 @@ class KernelBackend:
         target: "Cell",
         bottom_row: int,
         outcome: "ShiftOutcome",
-        vertical_cost_factor: float,
     ) -> Any:
         """Assemble the displacement curves of one insertion point.
 
@@ -116,7 +115,7 @@ class KernelBackend:
         """
         from repro.mgl.fop import build_curves
 
-        return build_curves(region, target, bottom_row, outcome, vertical_cost_factor)
+        return build_curves(region, target, bottom_row, outcome)
 
     def minimize(
         self,
@@ -125,19 +124,12 @@ class KernelBackend:
         hi: float,
         *,
         preferred_x: Optional[float] = None,
-        fwd_bwd: bool = False,
     ) -> "CurveEvaluation":
-        """Minimize the summed curve over ``[lo, hi]``.
-
-        ``fwd_bwd`` selects the reorganised fwdtraverse/bwdtraverse
-        operation structure instead of the original five-stage pipeline;
-        both organisations return the same optimum.
-        """
-        from repro.mgl.curves import minimize_curves, minimize_curves_fwd_bwd
+        """Minimize the summed curve over ``[lo, hi]`` (fwdtraverse/bwdtraverse)."""
+        from repro.mgl.curves import minimize_curves_fwd_bwd
 
         pieces, constant = curves
-        minimizer = minimize_curves_fwd_bwd if fwd_bwd else minimize_curves
-        return minimizer(pieces, constant, lo, hi, preferred_x=preferred_x)
+        return minimize_curves_fwd_bwd(pieces, constant, lo, hi, preferred_x=preferred_x)
 
     def evaluate(self, curves: Any, xs: Sequence[float]) -> List[float]:
         """Exact summed-curve values at each query position in ``xs``."""
@@ -161,7 +153,6 @@ class KernelBackend:
         bounds: Sequence[Tuple[float, float]],
         *,
         preferred_x: Optional[float] = None,
-        fwd_bwd: bool = False,
     ) -> List["CurveEvaluation"]:
         """Minimize one summed curve per insertion point.
 
@@ -169,7 +160,7 @@ class KernelBackend:
         result list is index-aligned with the inputs.
         """
         return [
-            self.minimize(curves, lo, hi, preferred_x=preferred_x, fwd_bwd=fwd_bwd)
+            self.minimize(curves, lo, hi, preferred_x=preferred_x)
             for curves, (lo, hi) in zip(curve_sets, bounds)
         ]
 

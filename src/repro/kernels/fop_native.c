@@ -9,7 +9,7 @@
  * The kernel is a transcription of the pure-Python reference
  * (repro.mgl.insertion.enumerate_insertion_points,
  * repro.core.sacs.shift_cells_sacs, repro.mgl.fop.build_curves,
- * repro.mgl.curves.minimize_curves / minimize_curves_fwd_bwd, the FOP
+ * repro.mgl.curves.minimize_curves_fwd_bwd, the FOP
  * snapping step and the reduction of repro.mgl.fop.reduce_points) and must
  * agree with it bit for bit.  Every floating-point operation below is the
  * same IEEE-754 double operation, on the same operands, in the same order as
@@ -66,9 +66,8 @@ typedef struct {
     double target_gp_x;
     double target_gp_y;
     double target_width;
-    double vertical_cost_factor;
+    double sites_per_row;   /* repro.legality.metrics.SITES_PER_ROW */
     int height;
-    int fwd_bwd;
     int neumaier_sum;
     /* candidate bottom rows (absolute), in the order FOP enumerates them */
     int n_bottoms;
@@ -111,9 +110,8 @@ typedef struct {
     double target_gp_x;
     double target_gp_y;
     double target_width;
-    double vertical_cost_factor;
+    double sites_per_row;
     int height;
-    int fwd_bwd;
     /* derived */
     int *order_asc;  /* cells sorted by (x, index): the right-move order */
     int *cell_rows;  /* dense row of each subcell */
@@ -294,7 +292,7 @@ static void build_curves(const fop_region *R, int bottom, const thresholds *left
                          const thresholds *right, curves *c)
 {
     c->n = 0;
-    c->constant = fabs((double)bottom - R->target_gp_y) * R->vertical_cost_factor;
+    c->constant = fabs((double)bottom - R->target_gp_y) * R->sites_per_row;
     piece(c, R->target_gp_x, -1.0, 1.0);
     for (int i = 0; i < left->count; i++) {
         int idx = left->order[i];
@@ -375,8 +373,8 @@ static inline void pick(double x, double v, double pref, int *first, double *bx,
 }
 
 /* Sort, merge and minimize the summed curve over [lo, hi]
-   (minimize_curves, or minimize_curves_fwd_bwd when R->fwd_bwd).
-   Stores the continuous optimum in *best_x; returns the merged count. */
+   (minimize_curves_fwd_bwd).  Stores the continuous optimum in *best_x;
+   returns the merged count. */
 static int minimize(const fop_region *R, curves *c, double lo, double hi, double *best_x)
 {
     int n = c->n, m = 0;
@@ -384,69 +382,36 @@ static int minimize(const fop_region *R, curves *c, double lo, double hi, double
     for (int i = 0; i < n; i++) c->sorted[i] = i;
     stable_sort(c->px, c->sorted, c->tmp, n);
 
-    if (!R->fwd_bwd) {
-        /* sort bp -> merge bp -> sum slopesR -> sum slopesL -> calculate value */
-        for (int s = 0; s < n; s++) {
-            int p = c->sorted[s];
-            if (m > 0 && fabs(c->px[p] - c->mx[m - 1]) <= EPS) {
-                c->ml[m - 1] = c->ml[m - 1] + c->pl[p];
-                c->mr[m - 1] = c->mr[m - 1] + c->pr[p];
-            } else {
-                c->mx[m] = c->px[p];
-                c->ml[m] = c->pl[p];
-                c->mr[m] = c->pr[p];
-                m++;
-            }
+    /* fwdtraverse: fwdmerge + sum slopesR + calculate vR */
+    double acc_r = 0.0;
+    for (int s = 0; s < n; s++) {
+        int p = c->sorted[s];
+        if (m > 0 && fabs(c->px[p] - c->mx[m - 1]) <= EPS) {
+            c->ml[m - 1] += c->pl[p];
+            c->mr[m - 1] += c->pr[p];
+            acc_r += c->pr[p];
+            c->sr[m - 1] = acc_r;
+        } else {
+            c->mx[m] = c->px[p];
+            c->ml[m] = c->pl[p];
+            c->mr[m] = c->pr[p];
+            acc_r += c->pr[p];
+            c->sr[m] = acc_r;
+            m++;
         }
-        double acc = 0.0;
-        for (int i = 0; i < m; i++) {
-            acc += c->mr[i];
-            c->sr[i] = acc;
-        }
-        acc = 0.0;
-        for (int i = m - 1; i >= 0; i--) {
-            acc += c->ml[i];
-            c->sl[i] = acc;
-        }
-        double v0 = 0.0;
-        for (int j = 1; j < m; j++) v0 += c->ml[j] * (c->mx[0] - c->mx[j]);
-        c->val[0] = v0;
-        for (int i = 0; i < m - 1; i++) {
-            double slope = c->sr[i] + c->sl[i + 1];
-            c->val[i + 1] = c->val[i] + slope * (c->mx[i + 1] - c->mx[i]);
-        }
-    } else {
-        /* fwdtraverse: fwdmerge + sum slopesR + calculate vR */
-        double acc_r = 0.0;
-        for (int s = 0; s < n; s++) {
-            int p = c->sorted[s];
-            if (m > 0 && fabs(c->px[p] - c->mx[m - 1]) <= EPS) {
-                c->ml[m - 1] += c->pl[p];
-                c->mr[m - 1] += c->pr[p];
-                acc_r += c->pr[p];
-                c->sr[m - 1] = acc_r;
-            } else {
-                c->mx[m] = c->px[p];
-                c->ml[m] = c->pl[p];
-                c->mr[m] = c->pr[p];
-                acc_r += c->pr[p];
-                c->sr[m] = acc_r;
-                m++;
-            }
-        }
-        double acc_w = 0.0;
-        for (int i = 0; i < m; i++) {
-            acc_w += c->mr[i] * c->mx[i];
-            c->val[i] = c->sr[i] * c->mx[i] - acc_w; /* vR */
-        }
-        /* bwdtraverse: bwdmerge + sum slopesL + calculate vL and v */
-        double acc_l = 0.0, acc_wl = 0.0;
-        for (int i = m - 1; i >= 0; i--) {
-            acc_l += c->ml[i];
-            acc_wl += c->ml[i] * c->mx[i];
-            c->sl[i] = acc_l;
-            c->val[i] = c->val[i] + (acc_l * c->mx[i] - acc_wl);
-        }
+    }
+    double acc_w = 0.0;
+    for (int i = 0; i < m; i++) {
+        acc_w += c->mr[i] * c->mx[i];
+        c->val[i] = c->sr[i] * c->mx[i] - acc_w; /* vR */
+    }
+    /* bwdtraverse: bwdmerge + sum slopesL + calculate vL and v */
+    double acc_l = 0.0, acc_wl = 0.0;
+    for (int i = m - 1; i >= 0; i--) {
+        acc_l += c->ml[i];
+        acc_wl += c->ml[i] * c->mx[i];
+        c->sl[i] = acc_l;
+        c->val[i] = c->val[i] + (acc_l * c->mx[i] - acc_wl);
     }
 
     double pref = R->target_gp_x;
@@ -653,8 +618,8 @@ int fop_search_region(fop_search *S)
 {
     fop_region R = {S->n_cells, S->x, S->gp_x, S->cell_row_start,
                     S->n_rows, S->row_start, S->row_cells, S->row_seg_lo, S->row_seg_hi,
-                    S->target_gp_x, S->target_gp_y, S->target_width, S->vertical_cost_factor,
-                    S->height, S->fwd_bwd,
+                    S->target_gp_x, S->target_gp_y, S->target_width, S->sites_per_row,
+                    S->height,
                     NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL, NULL};
     S->n_points = S->n_feasible = 0;
     S->winner = -1;

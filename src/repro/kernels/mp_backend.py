@@ -21,7 +21,7 @@ that needs them and reused by every later region and run (critical for
 ECO streams), until :meth:`MultiprocessKernelBackend.close`, the
 context-manager exit, or a :mod:`weakref` finalizer when the backend is
 dropped or the interpreter exits.  A task is one pickled ``(region,
-target, params)`` blob plus a point chunk; workers keep no state between
+target)`` blob plus a point chunk; workers keep no state between
 tasks.
 """
 
@@ -114,7 +114,7 @@ def _evaluate_points(payload):
     """Evaluate one insertion-point chunk with the reference FOP stages.
 
     ``payload`` is ``(blob, points)`` where ``blob`` is the pickled
-    ``(region, target, params)`` broadcast; returns one ``(best_x, cost,
+    ``(region, target)`` broadcast; returns one ``(best_x, cost,
     work_tuple)`` triple per point.  Stateless: the region travels with
     the task, so any pool worker can serve any region of any run.
     """
@@ -122,15 +122,10 @@ def _evaluate_points(payload):
     from repro.mgl.shifting import OriginalShifter
 
     blob, points = payload
-    region, target, params = pickle.loads(blob)
+    region, target = pickle.loads(blob)
     backend = KernelBackend()
     shifter = OriginalShifter()
-    config = FOPConfig(
-        shifter=shifter,
-        use_fwd_bwd_pipeline=params["fwd_bwd"],
-        vertical_cost_factor=params["vcf"],
-        backend=backend,
-    )
+    config = FOPConfig(shifter=shifter, backend=backend)
     shifter.prepare(region)
     scored = evaluate_point_list(region, target, points, config, backend)
     return [(best_x, cost, _encode_work(work)) for _, best_x, cost, _, work in scored]
@@ -417,11 +412,7 @@ class MultiprocessKernelBackend(NumpyKernelBackend):
         n_workers_used = n_chunks - 1
         for w in range(n_workers_used):
             shares.append(remaining[w::n_workers_used])
-        params = {
-            "fwd_bwd": config.use_fwd_bwd_pipeline,
-            "vcf": config.vertical_cost_factor,
-        }
-        blob = pickle.dumps((region, target, params), pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps((region, target), pickle.HIGHEST_PROTOCOL)
         results: List[Optional[Tuple]] = [None] * len(points)
 
         def place(share, scored):

@@ -2,7 +2,8 @@
 
 FOP enumerates the insertion points of every candidate bottom row of a
 localRegion, evaluates each (SACS shifting, displacement-curve
-construction, curve minimization and site snapping) and keeps the best.
+construction, fwdtraverse/bwdtraverse curve minimization and site
+snapping) and keeps the best.
 :meth:`NativeFOP.search_region` runs that whole triple loop, reduction
 included, inside ``fop_native.c`` (one ``ctypes`` call per region) and
 returns the same :class:`~repro.kernels.base.RegionSearch` as the Python
@@ -51,6 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.kernels.base import RegionSearch
+from repro.legality.metrics import SITES_PER_ROW
 from repro.mgl.insertion import InsertionPoint
 from repro.mgl.shifting import ShiftOutcome
 from repro.perf.counters import PointColumns, PointRun
@@ -82,9 +84,8 @@ class _Search(ctypes.Structure):
         ("target_gp_x", ctypes.c_double),
         ("target_gp_y", ctypes.c_double),
         ("target_width", ctypes.c_double),
-        ("vertical_cost_factor", ctypes.c_double),
+        ("sites_per_row", ctypes.c_double),
         ("height", ctypes.c_int),
-        ("fwd_bwd", ctypes.c_int),
         ("neumaier_sum", ctypes.c_int),
         ("n_bottoms", ctypes.c_int),
         ("bottoms", ctypes.c_void_p),
@@ -199,7 +200,7 @@ class NativeFOP:
         return f"native FOP kernel: {self.path}"
 
     # ------------------------------------------------------------------
-    def search_region(self, region, target, bottom_rows, config) -> Optional[RegionSearch]:
+    def search_region(self, region, target, bottom_rows) -> Optional[RegionSearch]:
         """Enumerate, score and reduce the insertion points of ``bottom_rows``.
 
         Returns the :class:`~repro.kernels.base.RegionSearch` that
@@ -269,9 +270,8 @@ class NativeFOP:
             target_gp_x=target.gp_x,
             target_gp_y=target.gp_y,
             target_width=target.width,
-            vertical_cost_factor=config.vertical_cost_factor,
+            sites_per_row=SITES_PER_ROW,
             height=height,
-            fwd_bwd=int(config.use_fwd_bwd_pipeline),
             neumaier_sum=int(_NEUMAIER_SUM),
             n_bottoms=len(bottom_rows),
             capacity=capacity,

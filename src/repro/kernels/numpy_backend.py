@@ -39,4 +39,4 @@ class NumpyKernelBackend(KernelBackend):
 
         if not isinstance(config.shifter, SortAheadShifter):
             return None
-        return self.native.search_region(region, target, bottom_rows, config)
+        return self.native.search_region(region, target, bottom_rows)

@@ -24,6 +24,15 @@ import numpy as np
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
 
+#: Sites per row height: one row of vertical displacement costs as much as
+#: this many sites of horizontal displacement.  ICCAD-2017 designs have
+#: sites much narrower than a row is tall; FOP's vertical cost, the
+#: free-slot searches and the displacement metrics all use this ratio.
+SITES_PER_ROW = 10.0
+#: Row heights per site (the multiply is kept: ``x * 0.1`` and
+#: ``x / 10.0`` are not the same double for every ``x``).
+ROWS_PER_SITE = 1.0 / SITES_PER_ROW
+
 
 @dataclass
 class DisplacementStats:
@@ -59,44 +68,27 @@ class DisplacementStats:
 
 
 class PlacementMetrics:
-    """Computes displacement metrics of a layout.
+    """Computes displacement metrics of a layout, in row heights.
 
-    Parameters
-    ----------
-    row_height_units:
-        Conversion factor applied to vertical displacements; with the unit
-        grid used internally a row is one unit tall, so the default 1.0
-        reports displacement in row heights — the unit used by Table 1
-        ("AveDis" column, average displacement in row heights).
-    site_width_units:
-        Conversion factor applied to horizontal displacements, expressed
-        in row heights per site.  ICCAD-2017 designs have sites much
-        narrower than a row is tall; the benchmark generator records the
-        ratio it used so that reported numbers land in the same numeric
-        range as the paper's.
+    A vertical displacement of one row counts 1; a horizontal one of one
+    site counts :data:`ROWS_PER_SITE`.  The ratio is the fixed
+    :data:`SITES_PER_ROW`, the one FOP also costs with; the site width a
+    layout records (:attr:`~repro.geometry.layout.Layout.site_width`) is
+    not read.
     """
-
-    def __init__(self, *, row_height_units: float = 1.0, site_width_units: float = 0.1) -> None:
-        if row_height_units <= 0 or site_width_units <= 0:
-            raise ValueError("unit conversion factors must be positive")
-        self.row_height_units = row_height_units
-        self.site_width_units = site_width_units
 
     # ------------------------------------------------------------------
     def cell_displacement(self, cell: Cell) -> float:
         """Manhattan displacement of one cell (Eq. 1), in row heights."""
-        return (
-            abs(cell.x - cell.gp_x) * self.site_width_units
-            + abs(cell.y - cell.gp_y) * self.row_height_units
-        )
+        return abs(cell.x - cell.gp_x) * ROWS_PER_SITE + abs(cell.y - cell.gp_y)
 
     def displacements(self, layout: Layout) -> np.ndarray:
         """Vector of displacements of all movable cells."""
         movable = layout.movable_cells()
         if not movable:
             return np.zeros(0)
-        dx = np.array([abs(c.x - c.gp_x) for c in movable]) * self.site_width_units
-        dy = np.array([abs(c.y - c.gp_y) for c in movable]) * self.row_height_units
+        dx = np.array([abs(c.x - c.gp_x) for c in movable]) * ROWS_PER_SITE
+        dy = np.array([abs(c.y - c.gp_y) for c in movable])
         return dx + dy
 
     # ------------------------------------------------------------------

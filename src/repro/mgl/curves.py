@@ -12,17 +12,21 @@ by the five-stage pipeline of the paper:
 
 Two functionally identical implementations are provided:
 
-* :func:`minimize_curves` — the original sequential organisation, where
-  every stage finishes before the next starts (the "Normal Pipeline" of
-  Fig. 5);
 * :func:`minimize_curves_fwd_bwd` — the reorganised
-  ``fwdtraverse`` / ``bwdtraverse`` form used by FLEX's multi-granularity
+  ``fwdtraverse`` / ``bwdtraverse`` form of FLEX's multi-granularity
   pipeline, where merging is duplicated into forward and backward halves
-  and ``calculate v`` is split into ``vR``, ``vL`` and ``v``.
+  and ``calculate v`` is split into ``vR``, ``vL`` and ``v``.  It is the
+  only organisation the host runs: FOP, every kernel backend and the
+  native kernel minimize this way;
+* :func:`minimize_curves` — the paper's sequential organisation, where
+  every stage finishes before the next starts (the "Normal Pipeline" of
+  Fig. 5).  It is kept as the paper-shaped reference that the tests hold
+  the fwd/bwd form to.
 
-Both return the same optimum; equivalence is enforced by property-based
-tests.  The functions are pure and operate on small Python lists — the
-number of breakpoints per insertion point is typically a few dozen.
+Both return the same optimum.  The FPGA cycle model still prices either
+organisation (:attr:`repro.core.config.FlexConfig.pipeline`).  The
+functions are pure and operate on small Python lists — the number of
+breakpoints per insertion point is typically a few dozen.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ def _pick_best(
 
 
 # ----------------------------------------------------------------------
-# Original pipeline
+# Original pipeline (the reference)
 # ----------------------------------------------------------------------
 def minimize_curves(
     pieces: Sequence[BreakpointPiece],

@@ -5,7 +5,10 @@ the FPGA).  For a given localRegion it traverses all candidate insertion
 points (paper Fig. 3(e), the triple loop), and for each one runs cell
 shifting followed by the displacement-curve pipeline to obtain the best
 target position and its cost.  The insertion point with the overall
-lowest cost wins.
+lowest cost wins.  The curves are minimized in the fwdtraverse/bwdtraverse
+organisation (:func:`~repro.mgl.curves.minimize_curves_fwd_bwd`), the
+only one the host runs; the paper's five-stage form gives the same
+optimum and stays as the reference the tests hold it to.
 
 The work performed per insertion point is recorded in the target's
 :class:`~repro.perf.counters.PointColumns` so that the CPU cost models
@@ -35,6 +38,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.region import LocalRegion
 from repro.kernels import BackendSpec, KernelBackend, resolve_backend
 from repro.kernels.base import RegionSearch
+from repro.legality.metrics import SITES_PER_ROW
 from repro.mgl.curves import (
     BreakpointPiece,
     left_shift_curve,
@@ -69,14 +73,6 @@ class FOPConfig:
         The cell-shifting implementation: :class:`OriginalShifter` (the
         baseline multi-pass algorithm) or
         :class:`repro.core.sacs.SortAheadShifter` (FLEX).
-    use_fwd_bwd_pipeline:
-        Select the reorganised fwdtraverse/bwdtraverse curve evaluation
-        (FLEX) instead of the original five-stage organisation.  Both
-        produce identical optima.
-    vertical_cost_factor:
-        Cost of one row of vertical displacement expressed in site widths
-        (rows are several sites tall in physical units), so that FOP
-        trades off vertical against horizontal displacement consistently.
     backend:
         Kernel backend evaluating the numeric hot paths (curve
         construction, minimization, snapping): a backend name
@@ -87,8 +83,6 @@ class FOPConfig:
     """
 
     shifter: object = field(default_factory=OriginalShifter)
-    use_fwd_bwd_pipeline: bool = False
-    vertical_cost_factor: float = 10.0
     backend: BackendSpec = None
 
 
@@ -113,15 +107,15 @@ def build_curves(
     target: Cell,
     bottom_row: int,
     outcome: ShiftOutcome,
-    vertical_cost_factor: float,
 ) -> Tuple[List[BreakpointPiece], float]:
     """Assemble the displacement curves of one insertion point.
 
     Returns the elementary breakpoint pieces plus the constant term (the
     target's vertical displacement and the shifted cells' constants).
-    Costs are expressed in site widths.
+    Costs are expressed in site widths; a row of vertical displacement
+    costs :data:`~repro.legality.metrics.SITES_PER_ROW` sites.
     """
-    vertical_cost = abs(bottom_row - target.gp_y) * vertical_cost_factor
+    vertical_cost = abs(bottom_row - target.gp_y) * SITES_PER_ROW
     pieces, constant = target_curve(target.gp_x, vertical_cost)
     pieces = list(pieces)
     for idx, threshold in outcome.left_thresholds.items():
@@ -302,16 +296,13 @@ def evaluate_point_list(
     # whole population at once; the reference loops point by point).
     feasible = [entry for entry in staged if entry[1].feasible]
     curve_sets = [
-        backend.build_curves(
-            region, target, insertion.bottom_row, outcome, config.vertical_cost_factor
-        )
+        backend.build_curves(region, target, insertion.bottom_row, outcome)
         for insertion, outcome, _ in feasible
     ]
     evaluations = backend.minimize_batch(
         curve_sets,
         [(outcome.xt_lo, outcome.xt_hi) for _, outcome, _ in feasible],
         preferred_x=target.gp_x,
-        fwd_bwd=config.use_fwd_bwd_pipeline,
     )
 
     # Stage 3 — batched snapping of every continuous optimum to the grid.

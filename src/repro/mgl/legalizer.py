@@ -9,7 +9,6 @@ has no feasible insertion point.
 The legalizer is parameterised by
 
 * the *cell-shifting implementation* (original multi-pass vs SACS),
-* the *curve pipeline organisation* (original vs fwdtraverse/bwdtraverse),
 * the *processing ordering* (size-descending — the baseline — or any
   callable; FLEX plugs in the sliding-window ordering),
 
@@ -31,7 +30,7 @@ from repro.geometry.interval import Interval, gaps_between, intersect_interval_l
 from repro.geometry.layout import Layout
 from repro.geometry.row import legal_bottom_rows
 from repro.kernels import BackendSpec, resolve_backend
-from repro.legality.metrics import DisplacementStats, PlacementMetrics
+from repro.legality.metrics import SITES_PER_ROW, DisplacementStats, PlacementMetrics
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.local_region import RegionBuilder, region_transfer_words
 from repro.mgl.premove import premove, premove_cell
@@ -63,18 +62,14 @@ def size_descending_order(layout: Layout, cells: List[Cell]) -> List[Cell]:
 def fast_mgl_legalizer(backend: BackendSpec = None) -> "MGLLegalizer":
     """An :class:`MGLLegalizer` in the fast host configuration.
 
-    SACS shifting plus the fwdtraverse/bwdtraverse curve pipeline — the
-    configuration the CLI, the incremental/ECO tooling and the host
-    benchmarks all run.  Keeping the construction in one place means a
-    future FOP knob change cannot leave those surfaces on silently
-    different configurations.
+    SACS shifting — the configuration the CLI, the incremental/ECO
+    tooling and the host benchmarks all run.  Keeping the construction in
+    one place means a future FOP knob change cannot leave those surfaces
+    on silently different configurations.
     """
     from repro.core.sacs import SortAheadShifter  # deferred: core imports mgl
 
-    return MGLLegalizer(
-        FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True),
-        backend=backend,
-    )
+    return MGLLegalizer(FOPConfig(shifter=SortAheadShifter()), backend=backend)
 
 
 @dataclass
@@ -104,8 +99,7 @@ class MGLLegalizer:
     Parameters
     ----------
     fop_config:
-        FOP kernel configuration (shifter choice, pipeline organisation,
-        vertical cost factor, kernel backend).
+        FOP kernel configuration (shifter choice, kernel backend).
     backend:
         Convenience override of the kernel backend (:mod:`repro.kernels`
         name or instance).  When given it is applied to ``fop_config``
@@ -113,8 +107,6 @@ class MGLLegalizer:
         argument switches every kernel of the run.
     ordering:
         Processing-ordering function; defaults to size-descending.
-    metrics:
-        Metric converter used for the result statistics.
     algorithm_name:
         Label recorded in the trace (``"mgl"`` for the baseline).
 
@@ -131,7 +123,6 @@ class MGLLegalizer:
         *,
         backend: BackendSpec = None,
         ordering: Optional[OrderingFn] = None,
-        metrics: Optional[PlacementMetrics] = None,
         algorithm_name: str = "mgl",
     ) -> None:
         config = fop_config or FOPConfig()
@@ -145,9 +136,7 @@ class MGLLegalizer:
             config = replace(config, backend=backend, shifter=shifter)
         self.fop_config = config
         self.ordering: OrderingFn = ordering or size_descending_order
-        self.metrics = metrics or PlacementMetrics(
-            site_width_units=1.0 / self.fop_config.vertical_cost_factor
-        )
+        self.metrics = PlacementMetrics()
         self.algorithm_name = algorithm_name
 
     # ------------------------------------------------------------------
@@ -325,7 +314,7 @@ class MGLLegalizer:
         # Fallback: direct nearest-free-space search over the whole chip.
         work.fallback_used = True
         work.fail_reason = reason
-        position = nearest_free_slot(layout, target, self.fop_config.vertical_cost_factor)
+        position = nearest_free_slot(layout, target)
         if position is None:
             work.fail_reason = "no_free_slot"
             return False, work
@@ -337,7 +326,6 @@ class MGLLegalizer:
 def nearest_free_slot(
     layout: Layout,
     cell: Cell,
-    vertical_cost_factor: float,
     row_limit: Optional[int] = None,
 ) -> Optional[Tuple[float, int]]:
     """Nearest completely free slot able to host ``cell``, or ``None``.
@@ -345,8 +333,9 @@ def nearest_free_slot(
     Legal bottom rows are tried nearest ``gp_y`` first.  In each, the
     free gaps of every row the cell would cover are intersected, and the
     site nearest ``gp_x`` is taken in each wide enough gap.  The cost is
-    the horizontal distance plus ``vertical_cost_factor`` per row of
-    vertical distance.  The search stops once no farther row can be
+    the horizontal distance plus
+    :data:`~repro.legality.metrics.SITES_PER_ROW` per row of vertical
+    distance.  The search stops once no farther row can be
     cheaper, or, with ``row_limit``, once that many rows were tried and
     a slot was found.  Neighbours are never moved: this is MGL's last
     resort and the whole of the greedy baseline.
@@ -357,7 +346,7 @@ def nearest_free_slot(
         key=lambda r: abs(r - cell.gp_y),
     )
     for count, bottom in enumerate(rows):
-        vertical_cost = abs(bottom - cell.gp_y) * vertical_cost_factor
+        vertical_cost = abs(bottom - cell.gp_y) * SITES_PER_ROW
         if best is not None and vertical_cost >= best[2]:
             break
         if row_limit is not None and count >= row_limit and best is not None:

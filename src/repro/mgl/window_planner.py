@@ -37,7 +37,7 @@ GROWTH = 1.6
 #: Default cap on the number of planning growth steps per target.
 DEFAULT_MAX_GROWTHS = 8
 #: Growth steps that stay horizontal-only before rows are grown too.
-#: Vertical displacement costs ``vertical_cost_factor`` (10x) per row, so
+#: Vertical displacement costs ``SITES_PER_ROW`` (10) sites per row, so
 #: extra rows almost never host the winner yet multiply the insertion
 #: points FOP must evaluate; growing sideways first keeps the planned
 #: regions cheap.  Rows grow earlier only when the window already spans

@@ -451,11 +451,6 @@ class LegalizationTrace:
     def total_sort_items(self) -> int:
         return sum(t.total_sort_items for t in self.targets)
 
-    @property
-    def total_regions(self) -> int:
-        """Number of localRegions built (window retries build new regions)."""
-        return sum(1 + t.window_retries for t in self.targets)
-
     # --- window-planning feasibility counters -------------------------
     @property
     def retry0_feasible_targets(self) -> int:
@@ -535,26 +530,6 @@ class LegalizationTrace:
         if total <= 0:
             return 0.0
         return work["cell_shift"] / total
-
-    # ------------------------------------------------------------------
-    def merged_with(self, other: "LegalizationTrace") -> "LegalizationTrace":
-        """Combine two traces (used when a run is split across workers)."""
-        merged = LegalizationTrace(
-            design_name=self.design_name,
-            algorithm=self.algorithm,
-            shift_algorithm=self.shift_algorithm,
-            kernel_backend=self.kernel_backend,
-            worker_count=max(self.worker_count, other.worker_count),
-            parallel_regions=self.parallel_regions + other.parallel_regions,
-            num_cells=self.num_cells + other.num_cells,
-            num_movable=self.num_movable + other.num_movable,
-            premove_cells=self.premove_cells + other.premove_cells,
-            ordering_ops=self.ordering_ops + other.ordering_ops,
-            region_build_ops=self.region_build_ops + other.region_build_ops,
-            update_ops=self.update_ops + other.update_ops,
-        )
-        merged.targets = list(self.targets) + list(other.targets)
-        return merged
 
     def summary(self) -> str:
         """One-line description of the recorded work."""

@@ -65,14 +65,6 @@ class SpeedupReport:
             return float("nan")
         return other / ours
 
-    def quality_ratio_over(self, label: str) -> float:
-        """Quality ratio (other / ours); > 1 means FLEX has lower AveDis."""
-        ours = self.qualities.get(self.ours_label)
-        other = self.qualities.get(label)
-        if ours is None or other is None or ours <= 0:
-            return float("nan")
-        return other / ours
-
     def row(self, baseline_labels: Sequence[str]) -> List[object]:
         """One Table-1-style row: qualities, runtimes and speedups."""
         row: List[object] = [self.design]

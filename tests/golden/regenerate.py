@@ -57,10 +57,7 @@ FIXTURES = {
 
 def build_legalizer(config: dict, backend: str = "python") -> MGLLegalizer:
     shifter = SortAheadShifter() if config["shifter"] == "sacs" else OriginalShifter()
-    return MGLLegalizer(
-        FOPConfig(shifter=shifter, use_fwd_bwd_pipeline=config["fwd_bwd"]),
-        backend=backend,
-    )
+    return MGLLegalizer(FOPConfig(shifter=shifter), backend=backend)
 
 
 def generate(name: str) -> dict:

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import DEFAULT_FLEX_CONFIG, FlexConfig, NORMAL_PIPELINE_CONFIG
-from repro.core.pipeline import (
-    FOP_STAGES_SPEC,
-    PipelineOrganization,
-    describe_organisation,
-    stage_names,
-)
+from repro.core.pipeline import FOP_STAGES_SPEC, PipelineOrganization
 from repro.core.task_assignment import (
     FOP_RESULT_WORDS,
     TaskAssignment,
@@ -57,7 +52,7 @@ class TestFlexConfig:
 
 class TestPipelineDescription:
     def test_stage_names_order(self):
-        assert stage_names() == [
+        assert [spec.name for spec in FOP_STAGES_SPEC] == [
             "cell_shift", "sort_bp", "merge_bp", "sum_slopesR", "sum_slopesL", "calculate_value",
         ]
 
@@ -65,11 +60,6 @@ class TestPipelineDescription:
         for spec in FOP_STAGES_SPEC:
             assert spec.per_item_cycles > 0
             assert spec.fixed_cycles >= 0
-
-    def test_describe_organisations(self):
-        for org in PipelineOrganization:
-            text = describe_organisation(org)
-            assert isinstance(text, str) and len(text) > 10
 
 
 class TestTaskAssignment:

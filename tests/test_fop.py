@@ -233,9 +233,7 @@ class TestFOP:
         region_a = region_for(layout, target)
         region_b = region_for(layout, target)
         res_orig = find_optimal_position(region_a, target, FOPConfig(shifter=OriginalShifter()))
-        res_sacs = find_optimal_position(
-            region_b, target, FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True)
-        )
+        res_sacs = find_optimal_position(region_b, target, FOPConfig(shifter=SortAheadShifter()))
         assert res_orig.feasible and res_sacs.feasible
         assert res_orig.cost == pytest.approx(res_sacs.cost, abs=1e-6)
         assert res_orig.x == pytest.approx(res_sacs.x)
@@ -265,7 +263,7 @@ class TestFOP:
         # Brute force over integer positions inside the feasibility interval.
         from repro.mgl.curves import evaluate_piecewise
 
-        pieces, const = build_curves(region, target, 0, outcome, config.vertical_cost_factor)
+        pieces, const = build_curves(region, target, 0, outcome)
         xs = range(math.ceil(outcome.xt_lo), math.floor(outcome.xt_hi) + 1)
         brute = min(evaluate_piecewise(pieces, const, float(x)) for x in xs)
         assert cost == pytest.approx(brute, abs=1e-9)

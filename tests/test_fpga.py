@@ -22,7 +22,7 @@ from repro.fpga import (
     SacsPreSorter,
     StreamingBreakpointSorter,
 )
-from repro.fpga.clock import memory_clock, pe_clock
+from repro.fpga.clock import pe_clock
 from repro.fpga.pe import FopPeModel
 from repro.fpga.resources import ResourceVector
 from repro.perf.counters import InsertionPointWork
@@ -32,20 +32,9 @@ from test_perf_models import make_trace
 
 
 class TestClock:
-    def test_period(self):
-        assert ClockDomain("pe", 285.0).period_ns == pytest.approx(1000 / 285)
-
     def test_cycles_to_seconds_roundtrip(self):
         clk = pe_clock(285.0)
-        assert clk.seconds_to_cycles(clk.cycles_to_seconds(1234)) == pytest.approx(1234)
-
-    def test_memory_clock_multiplier(self):
-        assert memory_clock(285.0, 2.0).frequency_mhz == pytest.approx(570.0)
-
-    def test_convert_between_domains(self):
-        pe = pe_clock(285.0)
-        mem = memory_clock(285.0, 2.0)
-        assert pe.convert_cycles_to(100, mem) == pytest.approx(200.0)
+        assert clk.cycles_to_seconds(1234) * 285e6 == pytest.approx(1234)
 
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
@@ -73,7 +62,6 @@ class TestBram:
     def test_ping_pong_doubles_brams(self):
         bank = BramBank("LCPT", depth=512, width_bits=32)
         assert PingPongRam(bank).bram36_count() == 2 * bank.bram36_count()
-        assert PingPongRam(bank).initialisation_hidden()
 
 
 class TestSorters:
@@ -258,10 +246,6 @@ class TestHostLink:
         t = link.transfer_seconds(1000)
         assert t > 5e-6
         assert t == pytest.approx(5e-6 + 1000 * 32 / 10e9)
-
-    def test_batched_transfer(self):
-        link = HostLink(latency_us=10.0)
-        assert link.batched_transfer_seconds(4096, batch_words=1024) > link.transfer_seconds(4096)
 
     def test_validation(self):
         with pytest.raises(ValueError):

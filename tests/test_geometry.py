@@ -180,8 +180,6 @@ class TestCell:
         cell = Cell(index=0, width=2, height=1, gp_x=3.0, gp_y=2.0)
         cell.move_to(6.0, 4.0)
         assert cell.displacement() == pytest.approx(5.0)
-        assert cell.displacement_x() == pytest.approx(3.0)
-        assert cell.displacement_y() == pytest.approx(2.0)
 
     def test_displacement_with_units(self):
         cell = Cell(index=0, width=2, height=1, gp_x=0.0, gp_y=0.0)
@@ -395,9 +393,8 @@ class TestWindowAndRegion:
         local = region.add_local_cell(cell)
         region.finalize()
         assert local.rows == (0, 1)
-        assert local.num_subcells == 2
         assert region.total_subcells() == 2
-        assert region.cells_in_row(0) == [local]
+        assert region.cell_indices_in_row(0) == [local.local_index]
 
     def test_region_sorted_by_x(self, simple_layout):
         target = Cell(index=100, width=3, height=1, gp_x=15.0, gp_y=0.0)

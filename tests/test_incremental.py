@@ -241,14 +241,6 @@ class TestApplyDeltas:
         assert calls == [2, 1]
         assert engine.layout is layout  # a rejected batch keeps the engine
 
-    def test_invalidate_summary_rows_refreshes_free_capacity(self):
-        """Direct row edits can refresh the free-space summary by range."""
-        layout = make_layout(cells=[(0, 0, 4, 1)])
-        assert layout.row_free_capacity(0, 0.0, 60.0) == 56.0  # caches the summary
-        layout.cells[0].width = 8.0  # bulk edit bypassing the mutation hooks
-        layout.invalidate_summary_rows(0, 1)
-        assert layout.row_free_capacity(0, 0.0, 60.0) == 52.0
-
 
 # ----------------------------------------------------------------------
 # Degenerate delta geometry (cells that cannot fit, boundary snapping)
@@ -446,7 +438,6 @@ class TestIncrementalLegalizer:
         for engine in engines.values():
             config = engine.legalizer.fop_config
             assert isinstance(config.shifter, SortAheadShifter)
-            assert config.use_fwd_bwd_pipeline
         engines["original"] = IncrementalLegalizer(MGLLegalizer())
         assert not isinstance(
             engines["original"].legalizer.fop_config.shifter, SortAheadShifter

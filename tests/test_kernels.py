@@ -30,7 +30,7 @@ from repro.kernels import (
     get_kernel_backend,
     resolve_backend,
 )
-from repro.mgl import MGLLegalizer
+from repro.mgl import MGLLegalizer, curves
 from repro.mgl.fop import FOPConfig, find_optimal_position
 from repro.mgl.insertion import enumerate_all_insertion_points
 from repro.mgl.local_region import RegionBuilder
@@ -45,6 +45,15 @@ NON_REFERENCE = [name for name in BACKENDS if name != "python"]
 needs_numpy = pytest.mark.skipif(
     "numpy" not in BACKENDS, reason="numpy backend not available"
 )
+
+
+class FiveStageReference(KernelBackend):
+    """The reference backend minimizing in the paper's five-stage
+    organisation instead of fwdtraverse/bwdtraverse."""
+
+    def minimize(self, curve_set, lo, hi, *, preferred_x=None):
+        pieces, constant = curve_set
+        return curves.minimize_curves(pieces, constant, lo, hi, preferred_x=preferred_x)
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +184,11 @@ class TestRegistry:
 @pytest.mark.parametrize("case", sorted(REGION_CASES))
 @pytest.mark.parametrize("fwd_bwd", [False, True])
 def test_curves_match_reference_on_regions(backend_name, case, fwd_bwd):
-    """build + minimize + evaluate agree on every feasible insertion point."""
+    """build + minimize + evaluate agree on every feasible insertion point
+    (the reference minimizing in the five-stage organisation unless
+    ``fwd_bwd``)."""
     region, target = prepared_region(**REGION_CASES[case])
-    reference = get_kernel_backend("python")
+    reference = get_kernel_backend("python") if fwd_bwd else FiveStageReference()
     backend = get_kernel_backend(backend_name)
     ref_ctx = reference.build_sacs_context(region)
     checked = 0
@@ -185,19 +196,17 @@ def test_curves_match_reference_on_regions(backend_name, case, fwd_bwd):
         outcome = reference.shift_sacs(region, target, point, ref_ctx)
         if not outcome.feasible:
             continue
-        ref_curves = reference.build_curves(region, target, point.bottom_row, outcome, 10.0)
-        curves = backend.build_curves(region, target, point.bottom_row, outcome, 10.0)
+        ref_curves = reference.build_curves(region, target, point.bottom_row, outcome)
+        curve_set = backend.build_curves(region, target, point.bottom_row, outcome)
         ref_eval = reference.minimize(
-            ref_curves, outcome.xt_lo, outcome.xt_hi,
-            preferred_x=target.gp_x, fwd_bwd=fwd_bwd,
+            ref_curves, outcome.xt_lo, outcome.xt_hi, preferred_x=target.gp_x
         )
         evaluation = backend.minimize(
-            curves, outcome.xt_lo, outcome.xt_hi,
-            preferred_x=target.gp_x, fwd_bwd=fwd_bwd,
+            curve_set, outcome.xt_lo, outcome.xt_hi, preferred_x=target.gp_x
         )
         assert evaluation == ref_eval
         sites = [math.floor(ref_eval.best_x), math.ceil(ref_eval.best_x)]
-        assert backend.evaluate(curves, sites) == reference.evaluate(ref_curves, sites)
+        assert backend.evaluate(curve_set, sites) == reference.evaluate(ref_curves, sites)
         checked += 1
     assert checked > 10
 
@@ -368,9 +377,7 @@ class TestBatchKernels:
             outcome = reference.shift_sacs(region, target, point, ctx)
             if not outcome.feasible:
                 continue
-            sets.append(
-                backend.build_curves(region, target, point.bottom_row, outcome, 10.0)
-            )
+            sets.append(backend.build_curves(region, target, point.bottom_row, outcome))
             bounds.append((outcome.xt_lo, outcome.xt_hi))
             if len(sets) >= 24:
                 break

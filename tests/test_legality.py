@@ -102,7 +102,7 @@ class TestPlacementMetrics:
         assert stats.num_cells == 2
 
     def test_cell_displacement_units(self):
-        metrics = PlacementMetrics(site_width_units=0.1)
+        metrics = PlacementMetrics()
         cell = Cell(index=0, width=2, height=1, gp_x=0.0, gp_y=0.0)
         cell.move_to(10.0, 2.0)
         assert metrics.cell_displacement(cell) == pytest.approx(3.0)
@@ -112,7 +112,7 @@ class TestPlacementMetrics:
         # double-row cell not at all -> S_am = (2 + 0) / 2 = 1.
         layout = make_layout(6, 30, [(0.0, 0.0, 2.0, 1), (10.0, 0.0, 3.0, 2)])
         layout.cells[0].y = 2.0
-        metrics = PlacementMetrics(site_width_units=0.1)
+        metrics = PlacementMetrics()
         stats = metrics.compute(layout)
         assert stats.per_height[1] == pytest.approx(2.0)
         assert stats.per_height[2] == pytest.approx(0.0)
@@ -122,7 +122,7 @@ class TestPlacementMetrics:
     def test_average_skips_missing_height_classes(self):
         layout = make_layout(8, 30, [(0.0, 0.0, 2.0, 1), (10.0, 0.0, 3.0, 4)])
         layout.cells[0].x += 10.0
-        metrics = PlacementMetrics(site_width_units=0.1)
+        metrics = PlacementMetrics()
         stats = metrics.compute(layout)
         # Heights 2 and 3 have no cells and must not dilute the average.
         assert set(stats.per_height) == {1, 4}
@@ -132,10 +132,10 @@ class TestPlacementMetrics:
         layout = make_layout(6, 30, [(0.0, 0.0, 2.0, 1), (10.0, 0.0, 2.0, 1)])
         layout.cells[0].x += 5.0
         layout.cells[1].x += 15.0
-        metrics = PlacementMetrics(site_width_units=1.0)
-        stats = metrics.compute(layout)
-        assert stats.max_displacement == pytest.approx(15.0)
-        assert stats.total_displacement == pytest.approx(20.0)
+        stats = PlacementMetrics().compute(layout)
+        # 15 and 5 sites at SITES_PER_ROW = 10 sites per row height.
+        assert stats.max_displacement == pytest.approx(1.5)
+        assert stats.total_displacement == pytest.approx(2.0)
 
     def test_empty_layout(self):
         metrics = PlacementMetrics()
@@ -150,10 +150,6 @@ class TestPlacementMetrics:
         stats = PlacementMetrics().compute(layout)
         assert stats.num_cells == 1
         assert stats.total_displacement == 0.0
-
-    def test_invalid_units(self):
-        with pytest.raises(ValueError):
-            PlacementMetrics(site_width_units=0.0)
 
     def test_as_dict_and_compare(self):
         metrics = PlacementMetrics()

@@ -56,9 +56,7 @@ class TestMGLLegalizer:
         layout_a = small_design(seed=21)
         layout_b = small_design(seed=21)
         res_orig = MGLLegalizer().legalize(layout_a)
-        res_sacs = MGLLegalizer(
-            FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True)
-        ).legalize(layout_b)
+        res_sacs = MGLLegalizer(FOPConfig(shifter=SortAheadShifter())).legalize(layout_b)
         assert LegalityChecker().check(layout_b).legal
         # Same ordering + equivalent shifting => identical placements.
         assert res_sacs.average_displacement == pytest.approx(

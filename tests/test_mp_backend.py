@@ -122,8 +122,8 @@ class TestKernelDelegation:
             assert outcome_key(got) == outcome_key(ref)
             if not ref.feasible:
                 continue
-            curves = backend.build_curves(region, target, point.bottom_row, got, 10.0)
-            ref_curves = reference.build_curves(region, target, point.bottom_row, ref, 10.0)
+            curves = backend.build_curves(region, target, point.bottom_row, got)
+            ref_curves = reference.build_curves(region, target, point.bottom_row, ref)
             assert curves == ref_curves
             assert backend.minimize(curves, got.xt_lo, got.xt_hi) == reference.minimize(
                 ref_curves, ref.xt_lo, ref.xt_hi

@@ -11,6 +11,11 @@ regions built to hit the epsilon merges and near-tie comparisons, on
 hand-built regions for each enumeration, reduction and outcome branch,
 and through whole legalizations.  Without a compiler the numpy backend
 must fall back to the Python reference search with identical results.
+
+The kernel, like every backend, minimizes the curves in the
+fwdtraverse/bwdtraverse organisation.  Tests parametrized by
+``fwd_bwd`` pick the reference's organisation: ``False`` holds the
+kernel to the paper's five-stage ``minimize_curves`` as well.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import dataclasses
 import pickle
 import random
 import shlex
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,13 +38,19 @@ from repro.geometry.interval import Interval
 from repro.geometry.region import LocalRegion, LocalSegment
 from repro.kernels import NumpyKernelBackend, get_kernel_backend
 from repro.kernels.native import NativeFOP
-from repro.mgl import MGLLegalizer
+from repro.mgl import MGLLegalizer, curves
 from repro.mgl.fop import FOPConfig, find_optimal_position, search_points
 from repro.mgl.insertion import candidate_bottom_rows, enumerate_insertion_points
 from repro.mgl.shifting import OriginalShifter
 from repro.perf.counters import InsertionPointWork
 from repro.testing import small_design
-from test_kernels import DESIGN_FACTORIES, REGION_CASES, outcome_key, prepared_region
+from test_kernels import (
+    DESIGN_FACTORIES,
+    REGION_CASES,
+    FiveStageReference,
+    outcome_key,
+    prepared_region,
+)
 
 NATIVE = get_kernel_backend("numpy").native
 
@@ -47,23 +59,18 @@ needs_native = pytest.mark.skipif(
 )
 
 
-def _config(fwd_bwd, backend=None):
-    return FOPConfig(
-        shifter=SortAheadShifter(backend="python"), use_fwd_bwd_pipeline=fwd_bwd, backend=backend
-    )
-
-
-def reference_search(region, target, fwd_bwd):
-    """Python enumeration + evaluate_point_list + reduction, on the oracle."""
-    config = _config(fwd_bwd, "python")
+def reference_search(region, target, fwd_bwd=True, shifter=None):
+    """Python enumeration + evaluate_point_list + reduction, on the oracle
+    (minimizing in the five-stage organisation unless ``fwd_bwd``)."""
+    backend = get_kernel_backend("python") if fwd_bwd else FiveStageReference()
+    config = FOPConfig(shifter=shifter or SortAheadShifter(backend="python"), backend=backend)
     config.shifter.prepare(region)
     rows = candidate_bottom_rows(region, target)
-    return search_points(region, target, rows, config, get_kernel_backend("python"))
+    return search_points(region, target, rows, config, backend)
 
 
-def native_search(region, target, fwd_bwd):
-    rows = candidate_bottom_rows(region, target)
-    return NATIVE.search_region(region, target, rows, _config(fwd_bwd))
+def native_search(region, target):
+    return NATIVE.search_region(region, target, candidate_bottom_rows(region, target))
 
 
 def reference_outcome(region, target, insertion):
@@ -89,12 +96,12 @@ def search_key(search):
     }
 
 
-def assert_matches_reference(region, target, fwd_bwd):
+def assert_matches_reference(region, target, fwd_bwd=True):
     """Compare the native search with the reference field by field,
     the winner's shift outcome in full (dict order included); returns
     the number of feasible points."""
     reference = reference_search(region, target, fwd_bwd)
-    native = native_search(region, target, fwd_bwd)
+    native = native_search(region, target)
     assert search_key(native) == search_key(reference)
     if reference.winner is not None:
         expected = reference_outcome(region, target, reference.winner[0])
@@ -176,10 +183,10 @@ def synthetic_regions(draw):
 
 @needs_native
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=synthetic_regions(), fwd_bwd=st.booleans())
-def test_native_matches_reference_on_synthetic_regions(data, fwd_bwd):
+@given(data=synthetic_regions())
+def test_native_matches_reference_on_synthetic_regions(data):
     region, target = data
-    assert_matches_reference(region, target, fwd_bwd)
+    assert_matches_reference(region, target)
 
 
 @st.composite
@@ -232,10 +239,48 @@ def tall_blocked_regions(draw):
 
 @needs_native
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=tall_blocked_regions(), fwd_bwd=st.booleans())
-def test_native_search_matches_reference_on_tall_blocked_regions(data, fwd_bwd):
+@given(data=tall_blocked_regions())
+def test_native_search_matches_reference_on_tall_blocked_regions(data):
     region, target = data
-    assert_matches_reference(region, target, fwd_bwd)
+    assert_matches_reference(region, target)
+
+
+# ----------------------------------------------------------------------
+# The host's one curve organisation against the paper's five-stage form
+# ----------------------------------------------------------------------
+SHIFTERS = [OriginalShifter, partial(SortAheadShifter, backend="python")]
+
+
+@pytest.mark.parametrize("make_shifter", SHIFTERS, ids=["original", "sacs"])
+@pytest.mark.parametrize("case", sorted(REGION_CASES))
+def test_fwd_bwd_search_matches_the_five_stage_reference(case, make_shifter):
+    """FOP's staged search finds the same sites, costs, winner and
+    per-point work whichever organisation minimizes the curves."""
+    region, target = prepared_region(**REGION_CASES[case])
+    host = reference_search(region, target, shifter=make_shifter())
+    five_stage = reference_search(region, target, False, make_shifter())
+    assert search_key(host) == search_key(five_stage)
+
+
+def test_an_epsilon_tie_can_part_the_two_organisations():
+    """The two organisations agree only up to epsilon ties.
+
+    They round differently, and their candidate comparisons use an
+    epsilon, so two candidate values lying the epsilon apart can fall on
+    either side of it.  Regions built from sub-epsilon offsets (as the
+    hypothesis strategies above build them) reach such ties: here the
+    winning point's site is 6 in the fwdtraverse/bwdtraverse
+    organisation the host runs and 5 in the five-stage one.
+    """
+    cells = [(1e-9, 1.0, 1, 0, 1e-9), (1.000000001, 1.0, 1, 0, -4.999999999),
+             (2.000000001, 1.0, 1, 0, 4.500000001), (4.000000001, 2.0, 1, 0, 4.0000000009)]
+    target = Cell(index=0, width=2.0, height=1, gp_x=5.0, gp_y=0.0)
+    region = _packed_region(cells, target, n_rows=1, seg=(0.0, 20.0))
+    host = reference_search(region, target, shifter=OriginalShifter())
+    five_stage = reference_search(region, target, False, OriginalShifter())
+    assert host.winner[0] == five_stage.winner[0]
+    assert (host.winner[1], five_stage.winner[1]) == (6.0, 5.0)
+    assert search_key(host)["works"] == search_key(five_stage)["works"]
 
 
 def _packed_region(cells, target, n_rows=2, seg=(0.0, 40.0), row_segs=None):
@@ -294,8 +339,6 @@ def test_native_clamps_a_sub_epsilon_empty_interval(fwd_bwd, monkeypatch):
     accept the sub-epsilon overlap, and the point must score on the one
     site in the gap.
     """
-    from repro.mgl import curves
-
     intervals = []
     for name in ("minimize_curves", "minimize_curves_fwd_bwd"):
         def spy(pieces, constant, lo, hi, *, _real=getattr(curves, name), **kw):
@@ -360,9 +403,9 @@ def test_native_keeps_a_row_filled_exactly_to_the_capacity_margin():
     assert (cell_width + width) + 0.0 == length + 1e-9
     target = Cell(index=0, width=width, height=1, gp_x=3.0, gp_y=0.0)
     region = _packed_region([(0.0, cell_width, 1, 0, 0.0)], target, n_rows=1, seg=(0.0, length))
-    reference = reference_search(region, target, False)
+    reference = reference_search(region, target)
     assert len(reference.works) == 2
-    assert_matches_reference(region, target, False)
+    assert_matches_reference(region, target)
 
 
 @needs_native
@@ -377,9 +420,9 @@ def test_native_enumerates_zero_length_segments():
         row_segs={0: (6.0, 6.0), 1: (6.0, 5.5)},
     )
     assert candidate_bottom_rows(region, target) == [0, 1, 2]
-    reference = reference_search(region, target, False)
+    reference = reference_search(region, target)
     assert len(reference.works) == 4 and reference.n_feasible == 3
-    assert_matches_reference(region, target, False)
+    assert_matches_reference(region, target)
 
 
 @needs_native
@@ -391,10 +434,10 @@ def test_native_search_over_no_candidate_rows():
         [(0.0, 2.0, 1, 0, 0.0)], target, n_rows=3, seg=(0.0, 5.0), row_segs={1: None}
     )
     assert candidate_bottom_rows(region, target) == []
-    assert search_key(native_search(region, target, False)) == {
+    assert search_key(native_search(region, target)) == {
         "works": [], "sites": [], "costs": [], "n_feasible": 0, "winner": None,
     }
-    assert_matches_reference(region, target, False)
+    assert_matches_reference(region, target)
 
 
 @needs_native
@@ -441,10 +484,10 @@ def test_fop_winner_outcome_matches_reference(case):
 # ----------------------------------------------------------------------
 # One hand-built region per branch of the native winner outcome
 # ----------------------------------------------------------------------
-def native_winner_outcome(region, target, fwd_bwd=False):
+def native_winner_outcome(region, target, fwd_bwd=True):
     """The native winner's outcome, checked against the reference."""
     assert assert_matches_reference(region, target, fwd_bwd) > 0
-    return native_search(region, target, fwd_bwd).winner[3]
+    return native_search(region, target).winner[3]
 
 
 @needs_native

@@ -55,7 +55,9 @@ def test_mgl_always_produces_legal_placements(params):
     assert result.trace.total_insertion_points >= len(result.trace.targets)
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=10, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
 @given(design_strategy)
 def test_flex_always_produces_legal_placements(params):
     layout = build(params)
@@ -113,7 +115,9 @@ def assert_flex_quality_tracks_mgl(params):
     assert flex.average_displacement <= mgl.average_displacement * 1.35 + 0.15
 
 
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=6, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
 @given(design_strategy)
 def test_flex_quality_tracks_mgl(params):
     assert_flex_quality_tracks_mgl(params)
@@ -157,7 +161,7 @@ def test_flex_quality_tracks_mgl_on_known_tall_cell_design(params):
 def test_displacement_consistent_with_metrics(params):
     layout = build(params)
     MGLLegalizer().legalize(layout)
-    metrics = PlacementMetrics(site_width_units=0.1)
+    metrics = PlacementMetrics()
     stats = metrics.compute(layout)
     # Aggregate statistics must be mutually consistent.
     assert stats.max_displacement >= stats.mean_displacement >= 0.0

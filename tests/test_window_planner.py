@@ -293,10 +293,7 @@ def test_planner_lifts_retry0_feasibility_on_dense_design(monkeypatch):
 
     def run():
         layout = small_design(num_cells=110, density=0.8, seed=9)
-        legalizer = MGLLegalizer(
-            FOPConfig(shifter=SortAheadShifter(), use_fwd_bwd_pipeline=True)
-        )
-        return legalizer.legalize(layout)
+        return MGLLegalizer(FOPConfig(shifter=SortAheadShifter())).legalize(layout)
 
     planned = run()
     # The blind baseline: the geometric window, never grown by the planner.
