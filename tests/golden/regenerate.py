@@ -33,11 +33,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 FIXTURES = {
     "tiny_sacs": (
         lambda: small_design(num_cells=60, density=0.5, seed=5),
-        dict(shifter="sacs", fwd_bwd=True),
+        dict(shifter="sacs"),
     ),
     "dense_sacs": (
         lambda: small_design(num_cells=110, density=0.8, seed=9),
-        dict(shifter="sacs", fwd_bwd=False),
+        dict(shifter="sacs"),
     ),
     "tall_original": (
         lambda: small_design(
@@ -46,11 +46,11 @@ FIXTURES = {
             seed=12,
             height_mix={1: 0.5, 2: 0.2, 3: 0.15, 4: 0.1, 5: 0.05},
         ),
-        dict(shifter="original", fwd_bwd=False),
+        dict(shifter="original"),
     ),
     "iccad_like_sacs": (
         lambda: iccad2017_design("des_perf_b_md2", scale=0.0012, seed=2017),
-        dict(shifter="sacs", fwd_bwd=True),
+        dict(shifter="sacs"),
     ),
 }
 
