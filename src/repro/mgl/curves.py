@@ -23,7 +23,9 @@ Two functionally identical implementations are provided:
   Fig. 5).  It is kept as the paper-shaped reference that the tests hold
   the fwd/bwd form to.
 
-Both return the same optimum.  The FPGA cycle model still prices either
+Both return the same optimum, up to epsilon ties: they round
+differently, so two candidates whose values lie about ``_EPS`` apart can
+compare differently.  The FPGA cycle model still prices either
 organisation (:attr:`repro.core.config.FlexConfig.pipeline`).  The
 functions are pure and operate on small Python lists — the number of
 breakpoints per insertion point is typically a few dozen.
@@ -259,9 +261,10 @@ def minimize_curves_fwd_bwd(
     the forward part of the value computation in a single forward sweep
     over the sorted breakpoints; ``bwdtraverse`` performs backward-merge,
     the slopesL suffix sums and the final value computation in a single
-    backward sweep.  The result is identical to :func:`minimize_curves`;
-    only the operation structure differs (which is what enables the
-    multi-granularity pipeline on the FPGA).
+    backward sweep.  The result is that of :func:`minimize_curves` (up to
+    epsilon ties, see the module docstring); only the operation structure
+    differs (which is what enables the multi-granularity pipeline on the
+    FPGA).
     """
     if hi < lo - _EPS:
         raise ValueError(f"empty evaluation interval [{lo}, {hi}]")

@@ -8,7 +8,8 @@ target position and its cost.  The insertion point with the overall
 lowest cost wins.  The curves are minimized in the fwdtraverse/bwdtraverse
 organisation (:func:`~repro.mgl.curves.minimize_curves_fwd_bwd`), the
 only one the host runs; the paper's five-stage form gives the same
-optimum and stays as the reference the tests hold it to.
+optimum up to epsilon ties and stays as the reference the tests hold it
+to.
 
 The work performed per insertion point is recorded in the target's
 :class:`~repro.perf.counters.PointColumns` so that the CPU cost models

@@ -245,6 +245,26 @@ def test_native_search_matches_reference_on_tall_blocked_regions(data):
     assert_matches_reference(region, target)
 
 
+def _packed_region(cells, target, n_rows=2, seg=(0.0, 40.0), row_segs=None):
+    """A region from ``(x, width, height, bottom, gp_x)`` cell tuples.
+
+    ``row_segs`` maps a row to its own ``(lo, hi)`` segment, or to
+    ``None`` for a row without one; other rows get ``seg``.
+    """
+    region = LocalRegion(window=Window(seg[0], seg[1], 0, n_rows), target=target)
+    for row in range(n_rows):
+        bounds = (row_segs or {}).get(row, seg)
+        if bounds is not None:
+            region.add_segment(LocalSegment(row, Interval(*bounds)))
+    for index, (x, width, height, bottom, gp_x) in enumerate(cells, start=1):
+        region.add_local_cell(Cell(
+            index=index, width=width, height=height, gp_x=gp_x, gp_y=float(bottom),
+            x=x, y=float(bottom), legalized=True,
+        ))
+    region.finalize()
+    return region
+
+
 # ----------------------------------------------------------------------
 # The host's one curve organisation against the paper's five-stage form
 # ----------------------------------------------------------------------
@@ -281,26 +301,6 @@ def test_an_epsilon_tie_can_part_the_two_organisations():
     assert host.winner[0] == five_stage.winner[0]
     assert (host.winner[1], five_stage.winner[1]) == (6.0, 5.0)
     assert search_key(host)["works"] == search_key(five_stage)["works"]
-
-
-def _packed_region(cells, target, n_rows=2, seg=(0.0, 40.0), row_segs=None):
-    """A region from ``(x, width, height, bottom, gp_x)`` cell tuples.
-
-    ``row_segs`` maps a row to its own ``(lo, hi)`` segment, or to
-    ``None`` for a row without one; other rows get ``seg``.
-    """
-    region = LocalRegion(window=Window(seg[0], seg[1], 0, n_rows), target=target)
-    for row in range(n_rows):
-        bounds = (row_segs or {}).get(row, seg)
-        if bounds is not None:
-            region.add_segment(LocalSegment(row, Interval(*bounds)))
-    for index, (x, width, height, bottom, gp_x) in enumerate(cells, start=1):
-        region.add_local_cell(Cell(
-            index=index, width=width, height=height, gp_x=gp_x, gp_y=float(bottom),
-            x=x, y=float(bottom), legalized=True,
-        ))
-    region.finalize()
-    return region
 
 
 @needs_native
