@@ -25,6 +25,7 @@ import numpy as np
 from repro.geometry.cell import Cell
 from repro.geometry.layout import Layout
 from repro.geometry.row import legal_bottom_rows
+from repro.legality.metrics import ROWS_PER_SITE
 
 
 #: Default mixed-cell-height distribution (fractions per height in rows).
@@ -61,10 +62,9 @@ class DesignSpec:
         blockages (exercises segment clipping; default 0).
     seed:
         RNG seed; generation is fully deterministic given the spec.
-    site_rows_ratio:
-        Height of a row expressed in site widths; used only to convert
-        horizontal displacements into row-height units for metrics
-        (ICCAD-2017 rows are several sites tall).
+
+    The generated layout records a site width of
+    :data:`~repro.legality.metrics.ROWS_PER_SITE` row heights.
     """
 
     name: str
@@ -77,7 +77,6 @@ class DesignSpec:
     perturbation_y: float = 0.9
     fixed_blockage_fraction: float = 0.0
     seed: int = 0
-    site_rows_ratio: float = 10.0
 
     def __post_init__(self) -> None:
         if self.num_cells <= 0:
@@ -109,7 +108,6 @@ class DesignSpec:
             perturbation_y=self.perturbation_y,
             fixed_blockage_fraction=self.fixed_blockage_fraction,
             seed=self.seed,
-            site_rows_ratio=self.site_rows_ratio,
         )
 
 
@@ -269,7 +267,7 @@ def generate_design(spec: DesignSpec) -> Layout:
         num_sites,
         cells,
         name=spec.name,
-        site_width=1.0 / spec.site_rows_ratio,
+        site_width=ROWS_PER_SITE,
         row_height=1.0,
     )
     return layout
